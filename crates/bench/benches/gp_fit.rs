@@ -1,7 +1,10 @@
 //! Gaussian-process kernels — the BOBO inner loop's cost drivers: fit
-//! (Cholesky) and posterior prediction at the sizes the sliding window
-//! produces.
+//! (Cholesky), posterior prediction, and one whole proposal step (fit
+//! plus the batched posterior over the candidate pool) at the sizes the
+//! sliding window produces.
 
+use artisan_opt::bo;
+use artisan_opt::bobo::BoboConfig;
 use artisan_opt::gp::{GaussianProcess, GpHyperParams};
 use criterion::{criterion_group, criterion_main, Criterion};
 use rand::{Rng, SeedableRng};
@@ -36,6 +39,23 @@ fn bench_gp(c: &mut Criterion) {
             b.iter(|| black_box(gp.predict(black_box(&query))))
         });
     }
+    // One BOBO proposal at the capped window: 161 points (160 recent plus
+    // the incumbent), the default 400-candidate pool, 34 dimensions.
+    let (xs, ys) = make_data(161, 34);
+    let config = BoboConfig::default();
+    let mut rng = rand::rngs::StdRng::seed_from_u64(4);
+    c.bench_function("gp/propose_n161_pool400_d34", |b| {
+        b.iter(|| {
+            black_box(bo::propose(
+                black_box(&xs),
+                black_box(&ys),
+                34,
+                config.pool,
+                config.gp,
+                &mut rng,
+            ))
+        })
+    });
 }
 
 criterion_group!(benches, bench_gp);

@@ -50,22 +50,31 @@ impl Cholesky {
         }
         let n = a.rows();
         let mut l = DMatrix::zeros(n, n);
+        for i in 0..n {
+            l.row_mut(i)[..=i].copy_from_slice(&a.row(i)[..=i]);
+        }
+        // Right-looking: once column j is final, its outer product is
+        // subtracted from the trailing lower triangle, one contiguous row
+        // segment at a time. Entry (i, m) still subtracts L_ik·L_mk in
+        // ascending k, the order of the dot-product form, so the factor
+        // is bit-identical to it; only the inner loop now vectorizes.
+        let mut col = vec![0.0; n];
         for j in 0..n {
-            let mut diag = a[(j, j)];
-            for k in 0..j {
-                diag -= l[(j, k)] * l[(j, k)];
-            }
+            let diag = l[(j, j)];
             if diag <= 0.0 || !diag.is_finite() {
                 return Err(MathError::NotPositiveDefinite(j));
             }
             let ljj = diag.sqrt();
             l[(j, j)] = ljj;
             for i in (j + 1)..n {
-                let mut v = a[(i, j)];
-                for k in 0..j {
-                    v -= l[(i, k)] * l[(j, k)];
+                l[(i, j)] /= ljj;
+                col[i] = l[(i, j)];
+            }
+            for i in (j + 1)..n {
+                let lij = col[i];
+                for (v, &lmj) in l.row_mut(i)[j + 1..=i].iter_mut().zip(&col[j + 1..=i]) {
+                    *v -= lij * lmj;
                 }
-                l[(i, j)] = v / ljj;
             }
         }
         Ok(Cholesky { l })
@@ -79,6 +88,18 @@ impl Cholesky {
     /// Borrow of the lower-triangular factor.
     pub fn factor(&self) -> &DMatrix {
         &self.l
+    }
+
+    /// Row `r` of `L` up to and including the diagonal: `L[r][0..=r]`.
+    /// Triangular solves walk these slices instead of indexing `(r, c)`
+    /// element by element.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `r >= dim()`.
+    #[inline]
+    pub fn row(&self, r: usize) -> &[f64] {
+        &self.l.row(r)[..=r]
     }
 
     /// Solves `A·x = b` via two triangular solves.
@@ -107,11 +128,13 @@ impl Cholesky {
         }
         let mut y = b.to_vec();
         for r in 0..n {
-            for c in 0..r {
-                let t = self.l[(r, c)] * y[c];
-                y[r] -= t;
+            let (solved, rest) = y.split_at_mut(r);
+            let (off_diag, diag) = self.row(r).split_at(r);
+            let mut acc = rest[0];
+            for (l, s) in off_diag.iter().zip(solved.iter()) {
+                acc -= l * s;
             }
-            y[r] /= self.l[(r, r)];
+            rest[0] = acc / diag[0];
         }
         Ok(y)
     }
@@ -169,6 +192,64 @@ mod tests {
         a
     }
 
+    /// The dot-product (left-looking) factorization, element by element.
+    fn reference_factor(a: &DMatrix) -> std::result::Result<DMatrix, usize> {
+        let n = a.rows();
+        let mut l = DMatrix::zeros(n, n);
+        for j in 0..n {
+            let mut diag = a[(j, j)];
+            for k in 0..j {
+                diag -= l[(j, k)] * l[(j, k)];
+            }
+            if diag <= 0.0 || !diag.is_finite() {
+                return Err(j);
+            }
+            let ljj = diag.sqrt();
+            l[(j, j)] = ljj;
+            for i in (j + 1)..n {
+                let mut v = a[(i, j)];
+                for k in 0..j {
+                    v -= l[(i, k)] * l[(j, k)];
+                }
+                l[(i, j)] = v / ljj;
+            }
+        }
+        Ok(l)
+    }
+
+    #[test]
+    fn factor_is_bit_identical_to_the_dot_product_form() {
+        let mut rng = StdRng::seed_from_u64(13);
+        for n in [1usize, 2, 3, 5, 8, 17, 40, 161] {
+            let mut a = spd_matrix(n, &mut rng);
+            // Garbage above the diagonal must not be read.
+            for i in 0..n {
+                for j in (i + 1)..n {
+                    a[(i, j)] = f64::NAN;
+                }
+            }
+            let want = reference_factor(&a).unwrap();
+            let got = Cholesky::new(&a).unwrap();
+            for r in 0..n {
+                for c in 0..n {
+                    assert_eq!(
+                        got.factor()[(r, c)].to_bits(),
+                        want[(r, c)].to_bits(),
+                        "n={n} ({r},{c})"
+                    );
+                }
+            }
+        }
+        // A near-singular Gram matrix fails at the same minor.
+        let pts: Vec<f64> = (0..30).map(|k| k as f64 * 1e-4).collect();
+        let k = DMatrix::from_fn(30, 30, |i, j| (-(pts[i] - pts[j]).powi(2)).exp());
+        let idx = match Cholesky::new(&k) {
+            Err(MathError::NotPositiveDefinite(idx)) => idx,
+            other => panic!("expected breakdown, got {:?}", other.map(|_| ())),
+        };
+        assert_eq!(reference_factor(&k).map(|_| ()), Err(idx));
+    }
+
     #[test]
     fn factor_of_known_matrix() {
         let a = DMatrix::from_rows(2, 2, &[4.0, 2.0, 2.0, 3.0]).unwrap();
@@ -216,6 +297,33 @@ mod tests {
     fn rejects_non_square() {
         let a = DMatrix::zeros(2, 3);
         assert!(Cholesky::new(&a).is_err());
+    }
+
+    #[test]
+    fn row_slices_hold_the_lower_triangle() {
+        let mut rng = StdRng::seed_from_u64(11);
+        let a = spd_matrix(5, &mut rng);
+        let ch = Cholesky::new(&a).unwrap();
+        for r in 0..5 {
+            let row = ch.row(r);
+            assert_eq!(row.len(), r + 1);
+            for (c, v) in row.iter().enumerate() {
+                assert_eq!(v.to_bits(), ch.factor()[(r, c)].to_bits());
+            }
+        }
+    }
+
+    #[test]
+    fn forward_solve_inverts_the_factor() {
+        let mut rng = StdRng::seed_from_u64(12);
+        let a = spd_matrix(6, &mut rng);
+        let ch = Cholesky::new(&a).unwrap();
+        let b: Vec<f64> = (0..6).map(|_| rng.gen_range(-2.0..2.0)).collect();
+        let y = ch.solve_lower(&b).unwrap();
+        let ly = ch.factor().mul_vec(&y).unwrap();
+        for (got, want) in ly.iter().zip(&b) {
+            assert!((got - want).abs() < 1e-12, "{got} vs {want}");
+        }
     }
 
     #[test]

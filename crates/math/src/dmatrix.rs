@@ -92,6 +92,26 @@ impl DMatrix {
         self.rows == self.cols
     }
 
+    /// Borrow of row `r` as a contiguous slice.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `r >= rows()`.
+    #[inline]
+    pub fn row(&self, r: usize) -> &[f64] {
+        &self.data[r * self.cols..(r + 1) * self.cols]
+    }
+
+    /// Mutable borrow of row `r` as a contiguous slice.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `r >= rows()`.
+    #[inline]
+    pub fn row_mut(&mut self, r: usize) -> &mut [f64] {
+        &mut self.data[r * self.cols..(r + 1) * self.cols]
+    }
+
     /// Matrix–vector product.
     ///
     /// # Errors

@@ -7,7 +7,7 @@
 //! and one optimizer step — which is exactly why Table 3 charges BOBO
 //! hours where Artisan needs minutes.
 
-use crate::bo::propose;
+use crate::bo::{propose_with, ProposeScratch};
 use crate::embedding::{decode, DIM};
 use crate::gp::GpHyperParams;
 use crate::objective::{evaluate_batch, Evaluation, Objective, OptResult};
@@ -73,6 +73,23 @@ impl Bobo {
         sim: &mut B,
         rng: &mut R,
     ) -> OptResult {
+        // One scratch for the whole trial: every proposal reuses it.
+        let mut scratch = ProposeScratch::default();
+        let BoboConfig { pool, gp, .. } = self.config;
+        self.run_with(spec, sim, rng, |wx, wy, rng| {
+            propose_with(&mut scratch, wx, wy, DIM, pool, gp, rng)
+        })
+    }
+
+    /// The trial loop, with the proposal step `propose(window_x,
+    /// window_y, rng)` supplied by the caller.
+    fn run_with<B: SimBackend + ?Sized, R: Rng + ?Sized>(
+        &self,
+        spec: &Spec,
+        sim: &mut B,
+        rng: &mut R,
+        mut propose: impl FnMut(&[Vec<f64>], &[f64], &mut R) -> Vec<f64>,
+    ) -> OptResult {
         let cl = spec.cl.value();
         let mut xs: Vec<Vec<f64>> = Vec::new();
         let mut ys: Vec<f64> = Vec::new();
@@ -136,7 +153,7 @@ impl Bobo {
                     wy.push(ys[best_idx]);
                 }
             }
-            let x = propose(&wx, &wy, DIM, self.config.pool, self.config.gp, rng);
+            let x = propose(&wx, &wy, rng);
             let topo = decode(&x, cl, &self.ranges);
             let eval = evaluate_batch(std::slice::from_ref(&topo), spec, sim)
                 .pop()
@@ -181,7 +198,7 @@ mod tests {
     use super::*;
     use artisan_sim::Simulator;
     use rand::rngs::StdRng;
-    use rand::SeedableRng;
+    use rand::{RngCore, SeedableRng};
 
     fn tiny() -> BoboConfig {
         BoboConfig {
@@ -282,5 +299,53 @@ mod tests {
             }
         }
         assert!(successes <= 1, "G-4 succeeded {successes}/5 at tiny budget");
+    }
+
+    #[test]
+    fn run_past_the_window_cap_matches_the_reference_proposals() {
+        // Default pool and window; the DoE nearly fills the window, so
+        // the proposals cross the 160-point cap and then slide with the
+        // incumbent appended.
+        let config = BoboConfig {
+            budget: 172,
+            initial_samples: 155,
+            ..BoboConfig::default()
+        };
+        let spec = Spec::g5();
+        let bobo = Bobo::new(config);
+
+        let mut sim = Simulator::new();
+        let mut rng = StdRng::seed_from_u64(11);
+        let got = bobo.run(&spec, &mut sim, &mut rng);
+
+        let mut ref_sim = Simulator::new();
+        let mut ref_rng = StdRng::seed_from_u64(11);
+        let want = bobo.run_with(&spec, &mut ref_sim, &mut ref_rng, |wx, wy, rng| {
+            crate::bo::reference::propose(wx, wy, DIM, config.pool, config.gp, rng)
+        });
+
+        let perf_bits = |r: &OptResult| {
+            r.performance.map(|p| {
+                [
+                    p.gain.value(),
+                    p.gbw.value(),
+                    p.pm.value(),
+                    p.power.value(),
+                    p.fom,
+                ]
+                .map(f64::to_bits)
+            })
+        };
+        assert!(got.topology.is_some());
+        assert_eq!(perf_bits(&got), perf_bits(&want));
+        assert_eq!(got.topology, want.topology);
+        assert_eq!(got.success, want.success);
+        assert_eq!(got.evaluations, want.evaluations);
+        assert_eq!(sim.ledger(), ref_sim.ledger());
+        assert_eq!(
+            format!("{:?}", sim.ledger()),
+            format!("{:?}", ref_sim.ledger())
+        );
+        assert_eq!(rng.next_u64(), ref_rng.next_u64());
     }
 }
