@@ -9,12 +9,12 @@
 //! fast-forwards past completed attempts and resumes billing exactly
 //! where the crash left it.
 //!
-//! # File format (version 1, all integers/floats little-endian)
+//! # File format (version 2, all integers/floats little-endian)
 //!
 //! | offset | size | field |
 //! |-------:|-----:|-------|
 //! | 0      | 8    | magic `b"ARTSNJL1"` |
-//! | 8      | 4    | format version (`u32`, currently 1) |
+//! | 8      | 4    | format version (`u32`, currently 2) |
 //! | 12     | 8    | plan fingerprint (`u64`) — see invalidation below |
 //! | 20     | 8    | session seed (`u64`) |
 //! | 28     | 8    | FNV-1a 64 checksum of the 28 header bytes |
@@ -73,10 +73,6 @@ use crate::fault::FaultPlan;
 use crate::supervisor::{SessionEvent, SessionReport, Supervisor};
 use artisan_agents::tot::{TotNode, TotTrace};
 use artisan_agents::{AgentConfig, Architecture, ChatTranscript, ChatTurn, DesignOutcome, Speaker};
-use artisan_circuit::units::{Farads, Ohms, Siemens};
-use artisan_circuit::{
-    ConnectionParams, ConnectionType, Placement, Position, Skeleton, StageParams, Topology,
-};
 use artisan_sim::cost::CostLedger;
 use artisan_sim::{wire, Spec};
 use std::fs;
@@ -783,101 +779,9 @@ fn decode_event(reader: &mut wire::Reader<'_>) -> Result<SessionEvent, String> {
     })
 }
 
-fn encode_stage(out: &mut Vec<u8>, stage: &StageParams) {
-    wire::push_f64(out, stage.gm.value());
-    wire::push_f64(out, stage.ro.value());
-    wire::push_f64(out, stage.cp.value());
-}
-
-fn decode_stage(reader: &mut wire::Reader<'_>) -> Result<StageParams, String> {
-    Ok(StageParams {
-        gm: Siemens(reader.f64()?),
-        ro: Ohms(reader.f64()?),
-        cp: Farads(reader.f64()?),
-    })
-}
-
-fn push_opt_f64(out: &mut Vec<u8>, value: Option<f64>) {
-    match value {
-        Some(v) => {
-            wire::push_u8(out, 1);
-            wire::push_f64(out, v);
-        }
-        None => wire::push_u8(out, 0),
-    }
-}
-
-fn read_opt_f64(reader: &mut wire::Reader<'_>) -> Result<Option<f64>, String> {
-    Ok(match reader.bool()? {
-        true => Some(reader.f64()?),
-        false => None,
-    })
-}
-
-fn encode_topology(out: &mut Vec<u8>, topo: &Topology) {
-    encode_stage(out, &topo.skeleton.stage1);
-    encode_stage(out, &topo.skeleton.stage2);
-    encode_stage(out, &topo.skeleton.stage3);
-    wire::push_f64(out, topo.skeleton.rl.value());
-    wire::push_f64(out, topo.skeleton.cl.value());
-    wire::push_u32(out, topo.placements().len() as u32);
-    for placement in topo.placements() {
-        // Indices into the canonical ALL orders — stable across
-        // processes by construction.
-        let position = Position::ALL
-            .iter()
-            .position(|p| *p == placement.position)
-            .unwrap_or(0) as u8;
-        let connection = ConnectionType::ALL
-            .iter()
-            .position(|c| *c == placement.connection)
-            .unwrap_or(0) as u8;
-        wire::push_u8(out, position);
-        wire::push_u8(out, connection);
-        push_opt_f64(out, placement.params.r.map(|v| v.value()));
-        push_opt_f64(out, placement.params.c.map(|v| v.value()));
-        push_opt_f64(out, placement.params.gm.map(|v| v.value()));
-    }
-}
-
-fn decode_topology(reader: &mut wire::Reader<'_>) -> Result<Topology, String> {
-    let stage1 = decode_stage(reader)?;
-    let stage2 = decode_stage(reader)?;
-    let stage3 = decode_stage(reader)?;
-    let rl = reader.f64()?;
-    let cl = reader.f64()?;
-    let mut topo = Topology::new(Skeleton {
-        stage1,
-        stage2,
-        stage3,
-        rl: Ohms(rl),
-        cl: Farads(cl),
-    });
-    let count = reader.u32()? as usize;
-    if count > Position::ALL.len() {
-        return Err(format!("placement count {count} exceeds the 7 positions"));
-    }
-    for _ in 0..count {
-        let position = *Position::ALL
-            .get(reader.u8()? as usize)
-            .ok_or("invalid position index")?;
-        let connection = *ConnectionType::ALL
-            .get(reader.u8()? as usize)
-            .ok_or("invalid connection index")?;
-        let params = ConnectionParams {
-            r: read_opt_f64(reader)?.map(Ohms),
-            c: read_opt_f64(reader)?.map(Farads),
-            gm: read_opt_f64(reader)?.map(Siemens),
-        };
-        topo.place(Placement::new(position, connection, params))
-            .map_err(|e| format!("illegal journaled placement: {e}"))?;
-    }
-    Ok(topo)
-}
-
 fn encode_outcome(out: &mut Vec<u8>, outcome: &DesignOutcome) {
     wire::push_u8(out, u8::from(outcome.success));
-    encode_topology(out, &outcome.topology);
+    wire::encode_topology(out, &outcome.topology);
     match &outcome.report {
         Some(report) => {
             wire::push_u8(out, 1);
@@ -918,7 +822,7 @@ fn encode_outcome(out: &mut Vec<u8>, outcome: &DesignOutcome) {
 
 fn decode_outcome(reader: &mut wire::Reader<'_>) -> Result<DesignOutcome, String> {
     let success = reader.bool()?;
-    let topology = decode_topology(reader)?;
+    let topology = reader.topology()?;
     let report = match reader.bool()? {
         true => Some(reader.report()?),
         false => None,
@@ -1145,6 +1049,7 @@ pub fn expire_terminal(dir: &Path, max_age: std::time::Duration) -> io::Result<E
 mod tests {
     use super::*;
     use crate::fault::{FaultPlan, FaultySim};
+    use artisan_circuit::Topology;
     use artisan_sim::Simulator;
     use std::sync::atomic::AtomicU32;
 
@@ -1359,6 +1264,60 @@ mod tests {
         assert!(real.load.terminal);
         assert_eq!(real.load.attempts_loaded, report.attempts);
         fs::remove_dir_all(&dir).ok();
+    }
+
+    /// A fixed attempt record whose best outcome holds the NMC example
+    /// topology (three placements with optional parameters).
+    fn golden_record() -> JournalRecord {
+        JournalRecord::Attempt(AttemptRecord {
+            attempt: 2,
+            validated: true,
+            events: vec![SessionEvent::AttemptStarted { attempt: 2 }],
+            best: Some((
+                1,
+                DesignOutcome {
+                    success: false,
+                    topology: Topology::nmc_example(),
+                    report: None,
+                    transcript: ChatTranscript::from_parts(
+                        vec![ChatTurn {
+                            speaker: Speaker::Tool,
+                            index: 0,
+                            text: "sim".to_string(),
+                        }],
+                        1,
+                    ),
+                    tot_trace: TotTrace::from_nodes(Vec::new()),
+                    iterations: 3,
+                    architecture: Architecture::ALL[1],
+                    netlist_text: "* nmc".to_string(),
+                },
+            )),
+            ledger: CostLedger::new(),
+            backend_calls: 4,
+        })
+    }
+
+    /// Pins the version-2 record bytes, topology codec included: any
+    /// change to the on-disk layout must bump [`FORMAT_VERSION`] and
+    /// this literal together, never silently.
+    #[test]
+    fn record_bytes_match_the_version_2_golden_encoding() {
+        let mut out = Vec::new();
+        encode_record(&mut out, &golden_record());
+        let hex: String = out.iter().map(|b| format!("{b:02x}")).collect();
+        let golden = concat!(
+            "0102000000000000000101000000000200000000000000010100000000000000",
+            "00ff8b6f411957fa3e1f9113841b395241041c9af88121253dffa813f152c103",
+            "3fb1bd15e8733f4441acb96aa28840273d7fb7e5c86f76303fd5161ab0244c18",
+            "41ea98a2f4fca73d3d0000000080842e41956479e17ffda53d02000000020200",
+            "0111ea2d819997913d00030200011adfc44166638a3d00000100000002000000",
+            "00000000000300000073696d0100000000000000000000000300000000000000",
+            "01050000002a206e6d6300000000000000000000000000000000000000000000",
+            "0000000000000000000000000000000000000000000000000000000000000000",
+            "0000000000000000000000000000000000000400000000000000",
+        );
+        assert_eq!(hex, golden);
     }
 
     #[test]

@@ -33,13 +33,11 @@
 
 use artisan_circuit::sample::{sample_topology, SampleRanges};
 use artisan_circuit::Topology;
-use artisan_serve::json::{obj, Json};
 use artisan_serve::{Client, Request, Response, Server, ServerConfig, WireStats, WorkItem};
 use artisan_sim::Spec;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::collections::BTreeMap;
-use std::io::Write as _;
 use std::net::SocketAddr;
 use std::sync::{Arc, Barrier};
 use std::time::{Duration, Instant};
@@ -216,60 +214,110 @@ fn drain(addr: SocketAddr) -> Result<WireStats, String> {
     }
 }
 
-fn stats_json(stats: &WireStats) -> Json {
-    obj(vec![
-        ("sessions", Json::Num(stats.sessions as f64)),
-        ("busy_rejects", Json::Num(stats.busy_rejects as f64)),
-        ("batches", Json::Num(stats.batches as f64)),
-        ("jobs", Json::Num(stats.jobs as f64)),
-        ("unique_computed", Json::Num(stats.unique_computed as f64)),
-        ("dedup_shared", Json::Num(stats.dedup_shared as f64)),
-        ("cache_served", Json::Num(stats.cache_served as f64)),
-        ("cache_hits", Json::Num(stats.cache_hits as f64)),
-        ("cache_misses", Json::Num(stats.cache_misses as f64)),
-        (
-            "batch_occupancy",
-            Json::Arr(
-                stats
-                    .occupancy
-                    .iter()
-                    .map(|(occ, n)| Json::Arr(vec![Json::Num(*occ as f64), Json::Num(*n as f64)]))
-                    .collect(),
-            ),
-        ),
+/// A JSON number in the shortest round-trip `{:?}` form, which always
+/// carries a `.0` or an exponent (counts read `4.0`). JSON has no
+/// NaN/infinity token, so non-finite values become `null`.
+fn num(value: f64) -> String {
+    if value.is_finite() {
+        format!("{value:?}")
+    } else {
+        "null".to_string()
+    }
+}
+
+/// One compact `"key":value` member; `value` is already JSON.
+fn field(key: &str, value: impl std::fmt::Display) -> String {
+    format!("\"{key}\":{value}")
+}
+
+/// A compact JSON object of `fields`.
+fn object(fields: &[String]) -> String {
+    format!("{{{}}}", fields.join(","))
+}
+
+fn stats_json(stats: &WireStats) -> String {
+    let occupancy: Vec<String> = stats
+        .occupancy
+        .iter()
+        .map(|(occ, n)| format!("[{},{}]", num(*occ as f64), num(*n as f64)))
+        .collect();
+    object(&[
+        field("sessions", num(stats.sessions as f64)),
+        field("busy_rejects", num(stats.busy_rejects as f64)),
+        field("batches", num(stats.batches as f64)),
+        field("jobs", num(stats.jobs as f64)),
+        field("unique_computed", num(stats.unique_computed as f64)),
+        field("dedup_shared", num(stats.dedup_shared as f64)),
+        field("cache_served", num(stats.cache_served as f64)),
+        field("cache_hits", num(stats.cache_hits as f64)),
+        field("cache_misses", num(stats.cache_misses as f64)),
+        field("batch_occupancy", format!("[{}]", occupancy.join(","))),
     ])
 }
 
-fn leg_json(outcome: &RunOutcome, eval_sessions: usize, design_sessions: usize) -> Json {
+fn leg_json(outcome: &RunOutcome, eval_sessions: usize, design_sessions: usize) -> String {
     let mut sorted = outcome.eval_latencies_ms.clone();
     sorted.sort_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
     let wall_s = outcome.eval_wall.as_secs_f64();
-    obj(vec![
-        ("sessions", Json::Num(eval_sessions as f64)),
-        ("wall_s", Json::Num(wall_s)),
-        (
-            "throughput_sps",
-            Json::Num(if wall_s > 0.0 {
-                eval_sessions as f64 / wall_s
-            } else {
-                0.0
-            }),
-        ),
-        ("p50_ms", Json::Num(percentile(&sorted, 0.50))),
-        ("p99_ms", Json::Num(percentile(&sorted, 0.99))),
-        ("design_sessions", Json::Num(design_sessions as f64)),
-        (
-            "design_wall_s",
-            Json::Num(outcome.design_wall.as_secs_f64()),
-        ),
-        ("stats", stats_json(&outcome.stats)),
+    let throughput = if wall_s > 0.0 {
+        eval_sessions as f64 / wall_s
+    } else {
+        0.0
+    };
+    object(&[
+        field("sessions", num(eval_sessions as f64)),
+        field("wall_s", num(wall_s)),
+        field("throughput_sps", num(throughput)),
+        field("p50_ms", num(percentile(&sorted, 0.50))),
+        field("p99_ms", num(percentile(&sorted, 0.99))),
+        field("design_sessions", num(design_sessions as f64)),
+        field("design_wall_s", num(outcome.design_wall.as_secs_f64())),
+        field("stats", stats_json(&outcome.stats)),
     ])
+}
+
+/// The document's leading members: schema, mode and workload shape.
+fn header(quick: bool, tenants: usize, waves: usize, shared: usize, private: usize) -> Vec<String> {
+    vec![
+        field("schema", "\"artisan-serve-bench/1\""),
+        field("quick", quick),
+        field(
+            "workload",
+            object(&[
+                field("tenants", num(tenants as f64)),
+                field("waves", num(waves as f64)),
+                field("shared_candidates", num(shared as f64)),
+                field("private_candidates", num(private as f64)),
+                field("eval_sessions", num((tenants * waves) as f64)),
+                field("design_sessions", num(tenants as f64)),
+            ]),
+        ),
+    ]
+}
+
+/// What the saturation probe observed.
+struct Saturation {
+    offered: usize,
+    accepted: usize,
+    busy: usize,
+    busy_p99_ms: f64,
+}
+
+impl Saturation {
+    fn json(&self) -> String {
+        object(&[
+            field("offered", num(self.offered as f64)),
+            field("accepted", num(self.accepted as f64)),
+            field("busy", num(self.busy as f64)),
+            field("busy_p99_ms", num(self.busy_p99_ms)),
+        ])
+    }
 }
 
 /// The saturation probe: a deliberately tiny server (2 in-flight
 /// slots) is offered many concurrent sessions; healthy behaviour is
 /// explicit, *fast* `busy` replies for the overflow.
-fn saturation_probe(tenants: usize) -> Result<Json, String> {
+fn saturation_probe(tenants: usize) -> Result<Saturation, String> {
     let config = ServerConfig {
         max_inflight: 2,
         tenant_max_inflight: 2,
@@ -308,12 +356,12 @@ fn saturation_probe(tenants: usize) -> Result<Json, String> {
         }
     }
     busy_ms.sort_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
-    Ok(obj(vec![
-        ("offered", Json::Num(offered as f64)),
-        ("accepted", Json::Num(accepted as f64)),
-        ("busy", Json::Num(busy as f64)),
-        ("busy_p99_ms", Json::Num(percentile(&busy_ms, 0.99))),
-    ]))
+    Ok(Saturation {
+        offered,
+        accepted,
+        busy,
+        busy_p99_ms: percentile(&busy_ms, 0.99),
+    })
 }
 
 fn run() -> Result<(), String> {
@@ -326,21 +374,7 @@ fn run() -> Result<(), String> {
     let no_assert = flag("--no-assert");
     let eval_sessions = tenants * waves;
 
-    let mut top = vec![
-        ("schema", Json::Str("artisan-serve-bench/1".to_string())),
-        ("quick", Json::Bool(quick)),
-        (
-            "workload",
-            obj(vec![
-                ("tenants", Json::Num(tenants as f64)),
-                ("waves", Json::Num(waves as f64)),
-                ("shared_candidates", Json::Num(shared as f64)),
-                ("private_candidates", Json::Num(private as f64)),
-                ("eval_sessions", Json::Num(eval_sessions as f64)),
-                ("design_sessions", Json::Num(tenants as f64)),
-            ]),
-        ),
-    ];
+    let mut top = header(quick, tenants, waves, shared, private);
 
     let addr_arg: String = arg_or("--addr", String::new());
     if !addr_arg.is_empty() {
@@ -349,20 +383,17 @@ fn run() -> Result<(), String> {
             .parse()
             .map_err(|e| format!("bad --addr {addr_arg:?}: {e}"))?;
         let outcome = drive(addr, tenants, waves, shared, private)?;
-        top.push(("target", leg_json(&outcome, eval_sessions, tenants)));
+        top.push(field("target", leg_json(&outcome, eval_sessions, tenants)));
         if flag("--drain") {
             let final_stats = drain(addr)?;
-            top.push(("drained", stats_json(&final_stats)));
+            top.push(field("drained", stats_json(&final_stats)));
         }
         let throughput = eval_sessions as f64 / outcome.eval_wall.as_secs_f64().max(1e-9);
         eprintln!(
             "target: {eval_sessions} evaluation sessions in {:.2}s ({throughput:.1}/s)",
             outcome.eval_wall.as_secs_f64()
         );
-        write_bench(
-            &out_path,
-            Json::Obj(top.into_iter().map(|(k, v)| (k.to_string(), v)).collect()),
-        )?;
+        write_bench(&out_path, &top)?;
         return Ok(());
     }
 
@@ -417,7 +448,7 @@ fn run() -> Result<(), String> {
             batched.eval_wall.as_secs_f64(),
             baseline.eval_wall.as_secs_f64()
         );
-        attempt_ratios.push(Json::Num(ratio));
+        attempt_ratios.push(num(ratio));
         let better = best.as_ref().is_none_or(|(_, _, b)| ratio > *b);
         if better {
             best = Some((batched, baseline, ratio));
@@ -434,16 +465,19 @@ fn run() -> Result<(), String> {
     eprintln!("serve_load: best speedup {speedup:.2}×, bit_identical={bit_identical}");
 
     let saturation = saturation_probe(tenants)?;
-    top.push(("batched", leg_json(&batched, eval_sessions, tenants)));
-    top.push(("no_batch", leg_json(&baseline, eval_sessions, tenants)));
-    top.push(("speedup", Json::Num(speedup)));
-    top.push(("attempt_speedups", Json::Arr(attempt_ratios)));
-    top.push(("bit_identical", Json::Bool(bit_identical)));
-    top.push(("saturation", saturation.clone()));
-    write_bench(
-        &out_path,
-        Json::Obj(top.into_iter().map(|(k, v)| (k.to_string(), v)).collect()),
-    )?;
+    top.push(field("batched", leg_json(&batched, eval_sessions, tenants)));
+    top.push(field(
+        "no_batch",
+        leg_json(&baseline, eval_sessions, tenants),
+    ));
+    top.push(field("speedup", num(speedup)));
+    top.push(field(
+        "attempt_speedups",
+        format!("[{}]", attempt_ratios.join(",")),
+    ));
+    top.push(field("bit_identical", bit_identical));
+    top.push(field("saturation", saturation.json()));
+    write_bench(&out_path, &top)?;
 
     if !no_assert {
         if !bit_identical {
@@ -454,14 +488,10 @@ fn run() -> Result<(), String> {
                 "batched throughput only {speedup:.2}× the no-batch baseline (need ≥ 2×)"
             ));
         }
-        let busy = saturation.get("busy").and_then(Json::as_f64).unwrap_or(0.0);
-        if busy < 1.0 {
+        if saturation.busy == 0 {
             return Err("saturation probe observed no busy backpressure".to_string());
         }
-        let busy_p99 = saturation
-            .get("busy_p99_ms")
-            .and_then(Json::as_f64)
-            .unwrap_or(f64::INFINITY);
+        let busy_p99 = saturation.busy_p99_ms;
         if busy_p99 > 1000.0 {
             return Err(format!(
                 "busy replies took {busy_p99:.0}ms p99 — backpressure should be immediate"
@@ -471,12 +501,8 @@ fn run() -> Result<(), String> {
     Ok(())
 }
 
-fn write_bench(path: &str, value: Json) -> Result<(), String> {
-    let mut file = std::fs::File::create(path).map_err(|e| format!("create {path}: {e}"))?;
-    file.write_all(value.encode().as_bytes())
-        .map_err(|e| format!("write {path}: {e}"))?;
-    file.write_all(b"\n")
-        .map_err(|e| format!("write {path}: {e}"))?;
+fn write_bench(path: &str, top: &[String]) -> Result<(), String> {
+    std::fs::write(path, object(top) + "\n").map_err(|e| format!("write {path}: {e}"))?;
     eprintln!("serve_load: wrote {path}");
     Ok(())
 }
@@ -485,5 +511,36 @@ fn main() {
     if let Err(message) = run() {
         eprintln!("serve_load: FAILED: {message}");
         std::process::exit(1);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The CI smoke greps read these exact markers, including the
+    /// negated `"cache_served":0.0` check on the warm daemon, which
+    /// would pass vacuously if the number format drifted.
+    #[test]
+    fn emitter_keeps_the_smoke_markers() {
+        let idle = RunOutcome {
+            eval_latencies_ms: Vec::new(),
+            eval_payloads: BTreeMap::new(),
+            eval_wall: Duration::ZERO,
+            design_payloads: BTreeMap::new(),
+            design_wall: Duration::ZERO,
+            stats: WireStats::default(),
+        };
+        let mut top = header(true, 1, 1, 1, 1);
+        top.push(field("batched", leg_json(&idle, 0, 0)));
+        top.push(field("bit_identical", true));
+        let doc = object(&top);
+        for marker in [
+            "\"schema\":\"artisan-serve-bench/1\"",
+            "\"bit_identical\":true",
+            "\"cache_served\":0.0",
+        ] {
+            assert!(doc.contains(marker), "{marker} missing from {doc}");
+        }
     }
 }

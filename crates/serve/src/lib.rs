@@ -5,8 +5,10 @@
 //! the `Supervisor`/`Scheduler` session stack, the shared `SimCache`
 //! with snapshot persistence, and the durable session journal:
 //!
-//! - [`proto`] — the versioned, length-prefixed, FNV-checksummed JSON
-//!   frame protocol and every request/response codec;
+//! - [`proto`] — the versioned, length-prefixed, FNV-checksummed
+//!   frame protocol and every request/response codec, whose binary
+//!   payloads reuse the `artisan_sim::wire` helpers of the journal and
+//!   cache snapshot;
 //! - [`engine`] — the cross-request batching loop that coalesces
 //!   candidate evaluations from concurrent tenants into shared
 //!   `analyze_batch` calls, with cache serving and in-batch dedup;
@@ -31,7 +33,6 @@
 
 pub mod client;
 pub mod engine;
-pub mod json;
 pub mod proto;
 pub mod server;
 

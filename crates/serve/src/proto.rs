@@ -1,4 +1,4 @@
-//! The wire protocol: versioned, length-prefixed, checksummed JSON
+//! The wire protocol: versioned, length-prefixed, checksummed binary
 //! frames, and codecs for every request/response the server speaks.
 //!
 //! ## Frame layout (all integers little-endian)
@@ -6,37 +6,55 @@
 //! | offset | size | field |
 //! |-------:|-----:|-------|
 //! | 0      | 8    | magic `b"ARTSNSV1"` |
-//! | 8      | 4    | format version (`u32`, currently 1) |
+//! | 8      | 4    | format version (`u32`, currently 2) |
 //! | 12     | 4    | payload length in bytes (`u32`, ≤ 16 MiB) |
-//! | 16     | n    | JSON payload (UTF-8) |
+//! | 16     | n    | binary payload (see below) |
 //! | 16+n   | 8    | FNV-1a 64 checksum of the payload bytes |
 //!
 //! The same discipline as the journal and cache-snapshot formats: a
 //! magic that rejects foreign streams instantly, an explicit version so
 //! incompatible readers fail loudly, and a checksum so corruption is
-//! detected before JSON parsing ever runs. The reader never trusts the
+//! detected before decoding ever runs. The reader never trusts the
 //! length prefix for allocation: payloads are read through a fixed-size
 //! staging buffer, so a hostile 16 MiB claim costs the attacker 16 MiB
 //! of actual sent bytes, not us 16 MiB of speculative allocation (the
 //! same cap-then-stream rule the cache snapshot loader follows).
 //!
-//! ## Value conventions
+//! ## Payload
 //!
-//! Floats whose exact bits matter (spec limits, skeleton values,
-//! report metrics, `testbed_seconds`) travel as 16-hex-digit bit
-//! patterns ([`crate::json::bits_str`]); seeds and fingerprints as
-//! 16-hex-digit integers. Analysis reports reuse the hardened binary
-//! codec from `artisan_sim::wire` (hex-encoded), so the serve layer
-//! inherits its bounds-checked decoding instead of reimplementing it.
+//! A payload is one `u8` variant tag followed by that variant's fields,
+//! written with the `artisan_sim::wire` helpers the journal and cache
+//! snapshot use:
+//!
+//! | tag | [`Request`] | [`Response`] |
+//! |----:|-------------|--------------|
+//! | 0   | `Ping` | `Pong` |
+//! | 1   | `Design`: tenant, seed, spec | `Busy`: reason |
+//! | 2   | `Analyze`: one work item | `Error`: message |
+//! | 3   | `AnalyzeBatch`: count, work items | `Report`: [`WireReport`] |
+//! | 4   | `Stats` | `Analysis`: count, results |
+//! | 5   | `Drain` | `Stats`: [`WireStats`] |
+//! | 6   | — | `Draining`: [`WireStats`] |
+//!
+//! Integers are little-endian; floats (spec limits, element values,
+//! `testbed_seconds`) travel as their raw bit patterns, so they cross
+//! the wire bit-exactly; strings are a `u32` byte count plus UTF-8;
+//! optional fields are a presence byte. A work item is tag 0 plus the
+//! shared `wire::encode_topology` form, or tag 1 plus a netlist (title,
+//! then elements as kind tag, label, node names and value bits).
+//! Analysis reports use `wire::encode_report` directly. A result is tag
+//! 0 plus a report, or tag 1 plus a `SimError` (its own tag, then its
+//! fields; `BadNetlist` travels as rendered text).
+//!
+//! Decoding is hostile-input safe: every count is checked against the
+//! bytes left times its entries' minimum encoded size before anything
+//! is allocated, and unknown tags, out-of-range indices, unknown node
+//! names and trailing bytes are errors, never panics.
 
-use crate::json::{bits_of, bits_str, hex_of, hex_str, obj, Json};
 use artisan_circuit::units::{Farads, Ohms, Siemens};
-use artisan_circuit::{
-    ConnectionParams, ConnectionType, Element, Netlist, Node, Placement, Position, Skeleton,
-    StageParams, Topology,
-};
+use artisan_circuit::{Element, Netlist, Node, Topology};
 use artisan_math::MathError;
-use artisan_sim::wire as simwire;
+use artisan_sim::wire::{self, Reader};
 use artisan_sim::{AnalysisReport, SimError, Spec};
 use std::io::{self, Read, Write};
 
@@ -44,7 +62,7 @@ use std::io::{self, Read, Write};
 pub const MAGIC: [u8; 8] = *b"ARTSNSV1";
 
 /// Wire format version; bumped on any incompatible change.
-pub const FORMAT_VERSION: u32 = 1;
+pub const FORMAT_VERSION: u32 = 2;
 
 /// Hard cap on a frame payload. Anything larger is a protocol error,
 /// mirroring the journal's frame cap.
@@ -86,7 +104,7 @@ pub fn write_frame<W: Write>(w: &mut W, payload: &[u8]) -> io::Result<()> {
     header[12..16].copy_from_slice(&(payload.len() as u32).to_le_bytes());
     w.write_all(&header)?;
     w.write_all(payload)?;
-    w.write_all(&simwire::fnv1a64(payload).to_le_bytes())?;
+    w.write_all(&wire::fnv1a64(payload).to_le_bytes())?;
     w.flush()
 }
 
@@ -133,7 +151,7 @@ pub fn read_frame<R: Read>(r: &mut R) -> io::Result<Vec<u8>> {
     let mut sum = [0u8; 8];
     r.read_exact(&mut sum)?;
     let expect = u64::from_le_bytes(sum);
-    let actual = simwire::fnv1a64(&payload);
+    let actual = wire::fnv1a64(&payload);
     if expect != actual {
         return Err(bad(format!(
             "frame checksum mismatch: stored {expect:#018x}, computed {actual:#018x}"
@@ -281,300 +299,188 @@ pub enum Response {
 }
 
 // ---------------------------------------------------------------------
-// value codecs
+// payload codecs
 // ---------------------------------------------------------------------
 
-fn spec_to_json(spec: &Spec) -> Json {
-    obj(vec![
-        ("gain_min_db", bits_str(spec.gain_min_db)),
-        ("gbw_min_hz", bits_str(spec.gbw_min_hz)),
-        ("pm_min_deg", bits_str(spec.pm_min_deg)),
-        ("power_max_w", bits_str(spec.power_max_w)),
-        ("cl", bits_str(spec.cl.value())),
-    ])
-}
+/// Smallest encoded netlist element: tag, empty label, two empty node
+/// names, value.
+const ELEMENT_MIN_BYTES: usize = 1 + 4 + 2 * 4 + 8;
 
-fn spec_of_json(v: &Json) -> Result<Spec, String> {
-    Ok(Spec::new(
-        bits_of(v.get("gain_min_db").ok_or("spec missing gain_min_db")?)?,
-        bits_of(v.get("gbw_min_hz").ok_or("spec missing gbw_min_hz")?)?,
-        bits_of(v.get("pm_min_deg").ok_or("spec missing pm_min_deg")?)?,
-        bits_of(v.get("power_max_w").ok_or("spec missing power_max_w")?)?,
-        bits_of(v.get("cl").ok_or("spec missing cl")?)?,
-    ))
-}
+/// Smallest encoded work item: a netlist with an empty title and no
+/// elements.
+const ITEM_MIN_BYTES: usize = 1 + 4 + 4;
 
-fn stage_to_json(stage: &StageParams) -> Json {
-    Json::Arr(vec![
-        bits_str(stage.gm.value()),
-        bits_str(stage.ro.value()),
-        bits_str(stage.cp.value()),
-    ])
-}
+/// Smallest encoded analysis result: an error with no fields.
+const RESULT_MIN_BYTES: usize = 2;
 
-fn stage_of_json(v: &Json) -> Result<StageParams, String> {
-    let items = v.as_arr().ok_or("stage is not an array")?;
-    if items.len() != 3 {
-        return Err(format!("stage has {} fields (expected 3)", items.len()));
+/// Appends a `u32` count, then each entry.
+fn push_list<T>(out: &mut Vec<u8>, items: &[T], push: impl Fn(&mut Vec<u8>, &T)) {
+    wire::push_u32(out, items.len() as u32);
+    for item in items {
+        push(out, item);
     }
-    Ok(StageParams::new(
-        bits_of(&items[0])?,
-        bits_of(&items[1])?,
-        bits_of(&items[2])?,
-    ))
 }
 
-fn topology_to_json(topo: &Topology) -> Json {
-    let sk = &topo.skeleton;
-    let placements = topo
-        .placements()
-        .iter()
-        .map(|p| {
-            let mut pairs = vec![
-                ("pos", Json::Str(p.position.id().to_string())),
-                ("conn", Json::Str(p.connection.code().to_string())),
-            ];
-            if let Some(r) = p.params.r {
-                pairs.push(("r", bits_str(r.value())));
-            }
-            if let Some(c) = p.params.c {
-                pairs.push(("c", bits_str(c.value())));
-            }
-            if let Some(gm) = p.params.gm {
-                pairs.push(("gm", bits_str(gm.value())));
-            }
-            obj(pairs)
-        })
-        .collect();
-    obj(vec![
-        ("k", Json::Str("topo".to_string())),
-        ("stage1", stage_to_json(&sk.stage1)),
-        ("stage2", stage_to_json(&sk.stage2)),
-        ("stage3", stage_to_json(&sk.stage3)),
-        ("rl", bits_str(sk.rl.value())),
-        ("cl", bits_str(sk.cl.value())),
-        ("placements", Json::Arr(placements)),
-    ])
-}
-
-fn topology_of_json(v: &Json) -> Result<Topology, String> {
-    let skeleton = Skeleton::new(
-        stage_of_json(v.get("stage1").ok_or("topology missing stage1")?)?,
-        stage_of_json(v.get("stage2").ok_or("topology missing stage2")?)?,
-        stage_of_json(v.get("stage3").ok_or("topology missing stage3")?)?,
-        bits_of(v.get("rl").ok_or("topology missing rl")?)?,
-        bits_of(v.get("cl").ok_or("topology missing cl")?)?,
-    );
-    let mut topo = Topology::new(skeleton);
-    let placements = v
-        .get("placements")
-        .and_then(Json::as_arr)
-        .ok_or("topology missing placements array")?;
-    for p in placements {
-        let pos = p
-            .get("pos")
-            .and_then(Json::as_str)
-            .and_then(Position::from_id)
-            .ok_or("placement has unknown position id")?;
-        let conn = p
-            .get("conn")
-            .and_then(Json::as_str)
-            .and_then(ConnectionType::from_code)
-            .ok_or("placement has unknown connection code")?;
-        let params = ConnectionParams {
-            r: p.get("r").map(bits_of).transpose()?.map(Ohms),
-            c: p.get("c").map(bits_of).transpose()?.map(Farads),
-            gm: p.get("gm").map(bits_of).transpose()?.map(Siemens),
-        };
-        topo.place(Placement::new(pos, conn, params))
-            .map_err(|e| format!("illegal placement: {e}"))?;
+/// Reads a [`push_list`] of entries that each encode to at least
+/// `min_bytes`. A count the rest of the payload cannot hold is rejected
+/// before any entry is decoded.
+fn read_list<'a, T>(
+    r: &mut Reader<'a>,
+    min_bytes: usize,
+    what: &str,
+    mut read: impl FnMut(&mut Reader<'a>) -> Result<T, String>,
+) -> Result<Vec<T>, String> {
+    let count = r.u32()? as usize;
+    if count.saturating_mul(min_bytes) > r.remaining() {
+        return Err(format!("{what} count {count} exceeds payload"));
     }
-    Ok(topo)
+    // Grown as entries decode, never sized from the claimed count: an
+    // entry can take far more memory than its minimum encoded size.
+    (0..count).map(|_| read(r)).collect()
+}
+
+/// Appends a presence byte, then the value when there is one.
+fn push_opt<T>(out: &mut Vec<u8>, value: Option<&T>, push: impl Fn(&mut Vec<u8>, &T)) {
+    match value {
+        Some(v) => {
+            wire::push_u8(out, 1);
+            push(out, v);
+        }
+        None => wire::push_u8(out, 0),
+    }
+}
+
+fn read_opt<'a, T>(
+    r: &mut Reader<'a>,
+    read: impl FnOnce(&mut Reader<'a>) -> Result<T, String>,
+) -> Result<Option<T>, String> {
+    Ok(match r.bool()? {
+        true => Some(read(r)?),
+        false => None,
+    })
+}
+
+/// The whole payload must be consumed: trailing bytes are an error.
+fn finish<T>(r: &Reader<'_>, value: T) -> Result<T, String> {
+    match r.remaining() {
+        0 => Ok(value),
+        n => Err(format!("{n} trailing bytes after payload")),
+    }
+}
+
+fn push_spec(out: &mut Vec<u8>, spec: &Spec) {
+    wire::push_f64(out, spec.gain_min_db);
+    wire::push_f64(out, spec.gbw_min_hz);
+    wire::push_f64(out, spec.pm_min_deg);
+    wire::push_f64(out, spec.power_max_w);
+    wire::push_f64(out, spec.cl.value());
+}
+
+fn read_spec(r: &mut Reader<'_>) -> Result<Spec, String> {
+    Ok(Spec::new(r.f64()?, r.f64()?, r.f64()?, r.f64()?, r.f64()?))
 }
 
 /// Netlists travel structurally — element kind, label, node names, and
 /// the value as exact bits — never through `Netlist::to_text()`, whose
 /// rounded significant digits would silently perturb values (and with
 /// them cache fingerprints) across the wire.
-fn element_to_json(e: &Element) -> Json {
-    match e {
-        Element::Resistor { label, a, b, ohms } => obj(vec![
-            ("e", Json::Str("r".to_string())),
-            ("l", Json::Str(label.clone())),
-            ("a", Json::Str(a.name())),
-            ("b", Json::Str(b.name())),
-            ("v", bits_str(ohms.0)),
-        ]),
-        Element::Capacitor {
-            label,
-            a,
-            b,
-            farads,
-        } => obj(vec![
-            ("e", Json::Str("c".to_string())),
-            ("l", Json::Str(label.clone())),
-            ("a", Json::Str(a.name())),
-            ("b", Json::Str(b.name())),
-            ("v", bits_str(farads.0)),
-        ]),
-        Element::Vccs {
-            label,
-            out_p,
-            out_n,
-            ctrl_p,
-            ctrl_n,
-            gm,
-        } => obj(vec![
-            ("e", Json::Str("g".to_string())),
-            ("l", Json::Str(label.clone())),
-            ("op", Json::Str(out_p.name())),
-            ("on", Json::Str(out_n.name())),
-            ("cp", Json::Str(ctrl_p.name())),
-            ("cn", Json::Str(ctrl_n.name())),
-            ("v", bits_str(gm.0)),
-        ]),
+fn push_element(out: &mut Vec<u8>, e: &Element) {
+    let kind = match e {
+        Element::Resistor { .. } => 0,
+        Element::Capacitor { .. } => 1,
+        Element::Vccs { .. } => 2,
+    };
+    wire::push_u8(out, kind);
+    wire::push_str(out, e.label());
+    for node in e.nodes() {
+        wire::push_str(out, &node.name());
     }
+    wire::push_f64(out, e.value());
 }
 
-fn need_node(v: &Json, key: &str) -> Result<Node, String> {
-    let name = v
-        .get(key)
-        .and_then(Json::as_str)
-        .ok_or_else(|| format!("element missing node `{key}`"))?;
-    Node::parse(name).ok_or_else(|| format!("unknown node name `{name}`"))
+fn read_node(r: &mut Reader<'_>) -> Result<Node, String> {
+    let name = r.str()?;
+    Node::parse(&name).ok_or_else(|| format!("unknown node name `{name}`"))
 }
 
-fn element_of_json(v: &Json) -> Result<Element, String> {
-    let label = v
-        .get("l")
-        .and_then(Json::as_str)
-        .ok_or("element missing label")?
-        .to_string();
-    let value = bits_of(v.get("v").ok_or("element missing value")?)?;
-    match v.get("e").and_then(Json::as_str) {
-        Some("r") => Ok(Element::Resistor {
-            label,
-            a: need_node(v, "a")?,
-            b: need_node(v, "b")?,
-            ohms: Ohms(value),
-        }),
-        Some("c") => Ok(Element::Capacitor {
-            label,
-            a: need_node(v, "a")?,
-            b: need_node(v, "b")?,
-            farads: Farads(value),
-        }),
-        Some("g") => Ok(Element::Vccs {
-            label,
-            out_p: need_node(v, "op")?,
-            out_n: need_node(v, "on")?,
-            ctrl_p: need_node(v, "cp")?,
-            ctrl_n: need_node(v, "cn")?,
-            gm: Siemens(value),
-        }),
-        _ => Err("element has unknown kind".to_string()),
-    }
+fn read_element(r: &mut Reader<'_>) -> Result<Element, String> {
+    Ok(match r.u8()? {
+        0 => Element::Resistor {
+            label: r.str()?,
+            a: read_node(r)?,
+            b: read_node(r)?,
+            ohms: Ohms(r.f64()?),
+        },
+        1 => Element::Capacitor {
+            label: r.str()?,
+            a: read_node(r)?,
+            b: read_node(r)?,
+            farads: Farads(r.f64()?),
+        },
+        2 => Element::Vccs {
+            label: r.str()?,
+            out_p: read_node(r)?,
+            out_n: read_node(r)?,
+            ctrl_p: read_node(r)?,
+            ctrl_n: read_node(r)?,
+            gm: Siemens(r.f64()?),
+        },
+        other => return Err(format!("unknown element tag {other}")),
+    })
 }
 
-fn item_to_json(item: &WorkItem) -> Json {
+fn push_item(out: &mut Vec<u8>, item: &WorkItem) {
     match item {
-        WorkItem::Topo(t) => topology_to_json(t),
-        WorkItem::Net(n) => obj(vec![
-            ("k", Json::Str("net".to_string())),
-            ("title", Json::Str(n.title().to_string())),
-            (
-                "els",
-                Json::Arr(n.elements().iter().map(element_to_json).collect()),
-            ),
-        ]),
+        WorkItem::Topo(topo) => {
+            wire::push_u8(out, 0);
+            wire::encode_topology(out, topo);
+        }
+        WorkItem::Net(net) => {
+            wire::push_u8(out, 1);
+            wire::push_str(out, net.title());
+            push_list(out, net.elements(), push_element);
+        }
     }
 }
 
-fn item_of_json(v: &Json) -> Result<WorkItem, String> {
-    match v.get("k").and_then(Json::as_str) {
-        Some("topo") => topology_of_json(v).map(WorkItem::Topo),
-        Some("net") => {
-            let title = v
-                .get("title")
-                .and_then(Json::as_str)
-                .ok_or("net item missing title")?;
-            let els = v
-                .get("els")
-                .and_then(Json::as_arr)
-                .ok_or("net item missing elements")?;
-            let elements = els
-                .iter()
-                .map(element_of_json)
-                .collect::<Result<Vec<_>, _>>()?;
+fn read_item(r: &mut Reader<'_>) -> Result<WorkItem, String> {
+    match r.u8()? {
+        0 => Ok(WorkItem::Topo(r.topology()?)),
+        1 => {
+            let title = r.str()?;
+            let elements = read_list(r, ELEMENT_MIN_BYTES, "element", read_element)?;
             Ok(WorkItem::Net(Netlist::new(title, elements)))
         }
-        _ => Err("work item has unknown kind".to_string()),
+        other => Err(format!("unknown work item tag {other}")),
     }
 }
 
-/// An analysis report travels as the hex-encoded `artisan_sim::wire`
-/// binary form, so decode inherits its bounds checks. `worst_case` is
-/// intentionally dropped, matching the wire codec's own contract.
-fn report_to_json(report: &AnalysisReport) -> Json {
-    let mut bytes = Vec::new();
-    simwire::encode_report(&mut bytes, report);
-    let mut hex = String::with_capacity(bytes.len() * 2);
-    for b in &bytes {
-        hex.push_str(&format!("{b:02x}"));
-    }
-    Json::Str(hex)
-}
-
-fn report_of_json(v: &Json) -> Result<AnalysisReport, String> {
-    let hex = v.as_str().ok_or("report is not a hex string")?;
-    if hex.len() % 2 != 0 || hex.len() > 2 * MAX_FRAME_BYTES as usize {
-        return Err("report hex has bad length".to_string());
-    }
-    let mut bytes = Vec::with_capacity(hex.len() / 2);
-    let digits = hex.as_bytes();
-    for pair in digits.chunks_exact(2) {
-        let hi = (pair[0] as char)
-            .to_digit(16)
-            .ok_or("bad report hex digit")?;
-        let lo = (pair[1] as char)
-            .to_digit(16)
-            .ok_or("bad report hex digit")?;
-        bytes.push((hi * 16 + lo) as u8);
-    }
-    let mut reader = simwire::Reader::new(&bytes);
-    let report = reader.report()?;
-    if reader.remaining() != 0 {
-        return Err("trailing bytes after report".to_string());
-    }
-    Ok(report)
-}
-
-fn math_error_to_json(err: &MathError) -> Json {
+fn push_math_error(out: &mut Vec<u8>, err: &MathError) {
     match err {
-        MathError::DimensionMismatch(s) => obj(vec![
-            ("m", Json::Str("dim".to_string())),
-            ("what", Json::Str(s.clone())),
-        ]),
-        MathError::Singular(k) => obj(vec![
-            ("m", Json::Str("sing".to_string())),
-            ("at", Json::Num(*k as f64)),
-        ]),
-        MathError::NotPositiveDefinite(k) => obj(vec![
-            ("m", Json::Str("npd".to_string())),
-            ("at", Json::Num(*k as f64)),
-        ]),
+        MathError::DimensionMismatch(what) => {
+            wire::push_u8(out, 0);
+            wire::push_str(out, what);
+        }
+        MathError::Singular(at) => {
+            wire::push_u8(out, 1);
+            wire::push_u64(out, *at as u64);
+        }
+        MathError::NotPositiveDefinite(at) => {
+            wire::push_u8(out, 2);
+            wire::push_u64(out, *at as u64);
+        }
         MathError::NoConvergence {
             iterations,
             residual,
-        } => obj(vec![
-            ("m", Json::Str("noconv".to_string())),
-            ("it", Json::Num(*iterations as f64)),
-            ("res", bits_str(*residual)),
-        ]),
-        MathError::DegenerateInput(msg) => obj(vec![
-            ("m", Json::Str("degen".to_string())),
-            ("what", Json::Str((*msg).to_string())),
-        ]),
+        } => {
+            wire::push_u8(out, 3);
+            wire::push_u64(out, *iterations as u64);
+            wire::push_f64(out, *residual);
+        }
+        MathError::DegenerateInput(what) => {
+            wire::push_u8(out, 4);
+            wire::push_str(out, what);
+        }
     }
 }
 
@@ -592,276 +498,199 @@ fn intern_degenerate(msg: &str) -> &'static str {
     }
 }
 
-fn math_error_of_json(v: &Json) -> Result<MathError, String> {
-    let need_at = |v: &Json| -> Result<usize, String> {
-        v.get("at")
-            .and_then(Json::as_u64)
-            .map(|k| k as usize)
-            .ok_or_else(|| "math error missing index".to_string())
-    };
-    match v.get("m").and_then(Json::as_str) {
-        Some("dim") => Ok(MathError::DimensionMismatch(
-            v.get("what")
-                .and_then(Json::as_str)
-                .ok_or("dim error missing what")?
-                .to_string(),
-        )),
-        Some("sing") => Ok(MathError::Singular(need_at(v)?)),
-        Some("npd") => Ok(MathError::NotPositiveDefinite(need_at(v)?)),
-        Some("noconv") => Ok(MathError::NoConvergence {
-            iterations: v
-                .get("it")
-                .and_then(Json::as_u64)
-                .ok_or("noconv missing it")? as usize,
-            residual: bits_of(v.get("res").ok_or("noconv missing res")?)?,
-        }),
-        Some("degen") => Ok(MathError::DegenerateInput(intern_degenerate(
-            v.get("what")
-                .and_then(Json::as_str)
-                .ok_or("degen missing what")?,
-        ))),
-        _ => Err("math error has unknown kind".to_string()),
-    }
+fn read_math_error(r: &mut Reader<'_>) -> Result<MathError, String> {
+    Ok(match r.u8()? {
+        0 => MathError::DimensionMismatch(r.str()?),
+        1 => MathError::Singular(r.u64()? as usize),
+        2 => MathError::NotPositiveDefinite(r.u64()? as usize),
+        3 => MathError::NoConvergence {
+            iterations: r.u64()? as usize,
+            residual: r.f64()?,
+        },
+        4 => MathError::DegenerateInput(intern_degenerate(&r.str()?)),
+        other => return Err(format!("unknown math error tag {other}")),
+    })
 }
 
 /// `BadNetlist` diagnostics flatten to rendered text on the wire
 /// (`BadNetlistReport::render`): the structured `Diagnostic` has no
 /// public constructor, and clients only need the message.
-fn sim_error_to_json(err: &SimError) -> Json {
+fn push_sim_error(out: &mut Vec<u8>, err: &SimError) {
     match err {
-        SimError::IllConditioned { frequency } => obj(vec![
-            ("e", Json::Str("ill".to_string())),
-            ("f", bits_str(*frequency)),
-        ]),
-        SimError::NoUnityCrossing => obj(vec![("e", Json::Str("nuc".to_string()))]),
-        SimError::Unstable { worst_pole_re } => obj(vec![
-            ("e", Json::Str("unstable".to_string())),
-            ("re", bits_str(*worst_pole_re)),
-        ]),
-        SimError::InvalidSweep { f_start, f_stop } => obj(vec![
-            ("e", Json::Str("sweep".to_string())),
-            ("f0", bits_str(*f_start)),
-            ("f1", bits_str(*f_stop)),
-        ]),
-        SimError::Math(m) => obj(vec![
-            ("e", Json::Str("math".to_string())),
-            ("math", math_error_to_json(m)),
-        ]),
-        SimError::BadNetlist(report) => obj(vec![
-            ("e", Json::Str("bad".to_string())),
-            ("msg", Json::Str(report.render())),
-        ]),
-    }
-}
-
-fn sim_error_of_json(v: &Json) -> Result<SimError, String> {
-    match v.get("e").and_then(Json::as_str) {
-        Some("ill") => Ok(SimError::IllConditioned {
-            frequency: bits_of(v.get("f").ok_or("ill missing f")?)?,
-        }),
-        Some("nuc") => Ok(SimError::NoUnityCrossing),
-        Some("unstable") => Ok(SimError::Unstable {
-            worst_pole_re: bits_of(v.get("re").ok_or("unstable missing re")?)?,
-        }),
-        Some("sweep") => Ok(SimError::InvalidSweep {
-            f_start: bits_of(v.get("f0").ok_or("sweep missing f0")?)?,
-            f_stop: bits_of(v.get("f1").ok_or("sweep missing f1")?)?,
-        }),
-        Some("math") => {
-            math_error_of_json(v.get("math").ok_or("math missing payload")?).map(SimError::Math)
+        SimError::IllConditioned { frequency } => {
+            wire::push_u8(out, 0);
+            wire::push_f64(out, *frequency);
         }
-        Some("bad") => Ok(SimError::BadNetlist(
-            v.get("msg")
-                .and_then(Json::as_str)
-                .ok_or("bad missing msg")?
-                .into(),
-        )),
-        _ => Err("sim error has unknown kind".to_string()),
-    }
-}
-
-fn result_to_json(res: &Result<AnalysisReport, SimError>) -> Json {
-    match res {
-        Ok(report) => obj(vec![
-            ("ok", Json::Bool(true)),
-            ("report", report_to_json(report)),
-        ]),
-        Err(err) => obj(vec![
-            ("ok", Json::Bool(false)),
-            ("err", sim_error_to_json(err)),
-        ]),
-    }
-}
-
-fn result_of_json(v: &Json) -> Result<Result<AnalysisReport, SimError>, String> {
-    match v.get("ok").and_then(Json::as_bool) {
-        Some(true) => report_of_json(v.get("report").ok_or("ok result missing report")?).map(Ok),
-        Some(false) => sim_error_of_json(v.get("err").ok_or("err result missing err")?).map(Err),
-        None => Err("result missing ok flag".to_string()),
-    }
-}
-
-fn wire_report_fields(r: &WireReport) -> Vec<(&'static str, Json)> {
-    let mut pairs = vec![
-        ("success", Json::Bool(r.success)),
-        ("degraded", Json::Bool(r.degraded)),
-        ("attempts", Json::Num(r.attempts as f64)),
-        ("faults_observed", Json::Num(r.faults_observed as f64)),
-        ("events_len", Json::Num(r.events_len as f64)),
-        ("simulations", Json::Num(r.simulations as f64)),
-        ("llm_steps", Json::Num(r.llm_steps as f64)),
-        ("cache_hits", Json::Num(r.cache_hits as f64)),
-        ("coalesced_waits", Json::Num(r.coalesced_waits as f64)),
-        ("batched_solves", Json::Num(r.batched_solves as f64)),
-        ("testbed_seconds", bits_str(r.testbed_seconds)),
-    ];
-    if let Some(outcome) = &r.outcome {
-        let mut inner = vec![
-            ("success", Json::Bool(outcome.success)),
-            ("iterations", Json::Num(outcome.iterations as f64)),
-            ("netlist_text", Json::Str(outcome.netlist_text.clone())),
-        ];
-        if let Some(report) = &outcome.report {
-            inner.push(("report", report_to_json(report)));
+        SimError::NoUnityCrossing => wire::push_u8(out, 1),
+        SimError::Unstable { worst_pole_re } => {
+            wire::push_u8(out, 2);
+            wire::push_f64(out, *worst_pole_re);
         }
-        pairs.push(("outcome", obj(inner)));
+        SimError::InvalidSweep { f_start, f_stop } => {
+            wire::push_u8(out, 3);
+            wire::push_f64(out, *f_start);
+            wire::push_f64(out, *f_stop);
+        }
+        SimError::Math(m) => {
+            wire::push_u8(out, 4);
+            push_math_error(out, m);
+        }
+        SimError::BadNetlist(report) => {
+            wire::push_u8(out, 5);
+            wire::push_str(out, &report.render());
+        }
     }
-    pairs
 }
 
-fn wire_report_json(r: &WireReport) -> Json {
-    let mut pairs = vec![("r".to_string(), Json::Str("report".to_string()))];
-    pairs.extend(
-        wire_report_fields(r)
-            .into_iter()
-            .map(|(k, v)| (k.to_string(), v)),
-    );
-    Json::Obj(pairs)
-}
-
-fn need_u64(v: &Json, key: &str) -> Result<u64, String> {
-    v.get(key)
-        .and_then(Json::as_u64)
-        .ok_or_else(|| format!("missing counter {key}"))
-}
-
-fn wire_report_of_json(v: &Json) -> Result<WireReport, String> {
-    let need_bool = |key: &str| -> Result<bool, String> {
-        v.get(key)
-            .and_then(Json::as_bool)
-            .ok_or_else(|| format!("missing flag {key}"))
-    };
-    let outcome = match v.get("outcome") {
-        None => None,
-        Some(o) => Some(WireOutcome {
-            success: o
-                .get("success")
-                .and_then(Json::as_bool)
-                .ok_or("outcome missing success")?,
-            iterations: need_u64(o, "iterations")?,
-            report: o.get("report").map(report_of_json).transpose()?,
-            netlist_text: o
-                .get("netlist_text")
-                .and_then(Json::as_str)
-                .ok_or("outcome missing netlist_text")?
-                .to_string(),
-        }),
-    };
-    Ok(WireReport {
-        success: need_bool("success")?,
-        degraded: need_bool("degraded")?,
-        attempts: need_u64(v, "attempts")?,
-        faults_observed: need_u64(v, "faults_observed")?,
-        events_len: need_u64(v, "events_len")?,
-        simulations: need_u64(v, "simulations")?,
-        llm_steps: need_u64(v, "llm_steps")?,
-        cache_hits: need_u64(v, "cache_hits")?,
-        coalesced_waits: need_u64(v, "coalesced_waits")?,
-        batched_solves: need_u64(v, "batched_solves")?,
-        testbed_seconds: bits_of(v.get("testbed_seconds").ok_or("missing testbed_seconds")?)?,
-        outcome,
+fn read_sim_error(r: &mut Reader<'_>) -> Result<SimError, String> {
+    Ok(match r.u8()? {
+        0 => SimError::IllConditioned {
+            frequency: r.f64()?,
+        },
+        1 => SimError::NoUnityCrossing,
+        2 => SimError::Unstable {
+            worst_pole_re: r.f64()?,
+        },
+        3 => SimError::InvalidSweep {
+            f_start: r.f64()?,
+            f_stop: r.f64()?,
+        },
+        4 => SimError::Math(read_math_error(r)?),
+        5 => SimError::BadNetlist(r.str()?.into()),
+        other => return Err(format!("unknown sim error tag {other}")),
     })
 }
 
-fn stats_to_json(s: &WireStats) -> Json {
-    obj(vec![
-        ("sessions", Json::Num(s.sessions as f64)),
-        ("busy_rejects", Json::Num(s.busy_rejects as f64)),
-        ("batches", Json::Num(s.batches as f64)),
-        ("jobs", Json::Num(s.jobs as f64)),
-        ("unique_computed", Json::Num(s.unique_computed as f64)),
-        ("dedup_shared", Json::Num(s.dedup_shared as f64)),
-        ("cache_served", Json::Num(s.cache_served as f64)),
-        (
-            "occupancy",
-            Json::Arr(
-                s.occupancy
-                    .iter()
-                    .map(|(occ, n)| Json::Arr(vec![Json::Num(*occ as f64), Json::Num(*n as f64)]))
-                    .collect(),
-            ),
-        ),
-        ("cache_hits", Json::Num(s.cache_hits as f64)),
-        ("cache_misses", Json::Num(s.cache_misses as f64)),
-        ("cache_entries", Json::Num(s.cache_entries as f64)),
-    ])
+fn push_result(out: &mut Vec<u8>, res: &Result<AnalysisReport, SimError>) {
+    match res {
+        Ok(report) => {
+            wire::push_u8(out, 0);
+            wire::encode_report(out, report);
+        }
+        Err(err) => {
+            wire::push_u8(out, 1);
+            push_sim_error(out, err);
+        }
+    }
 }
 
-fn stats_of_json(v: &Json) -> Result<WireStats, String> {
-    let occupancy = v
-        .get("occupancy")
-        .and_then(Json::as_arr)
-        .ok_or("stats missing occupancy")?
-        .iter()
-        .map(|pair| {
-            let pair = pair.as_arr().ok_or("occupancy row is not a pair")?;
-            if pair.len() != 2 {
-                return Err("occupancy row is not a pair".to_string());
-            }
-            Ok((
-                pair[0].as_u64().ok_or("bad occupancy key")?,
-                pair[1].as_u64().ok_or("bad occupancy count")?,
-            ))
-        })
-        .collect::<Result<Vec<_>, String>>()?;
+fn read_result(r: &mut Reader<'_>) -> Result<Result<AnalysisReport, SimError>, String> {
+    match r.u8()? {
+        0 => r.report().map(Ok),
+        1 => read_sim_error(r).map(Err),
+        other => Err(format!("unknown result tag {other}")),
+    }
+}
+
+fn push_wire_report(out: &mut Vec<u8>, r: &WireReport) {
+    wire::push_u8(out, u8::from(r.success));
+    wire::push_u8(out, u8::from(r.degraded));
+    for counter in [
+        r.attempts,
+        r.faults_observed,
+        r.events_len,
+        r.simulations,
+        r.llm_steps,
+        r.cache_hits,
+        r.coalesced_waits,
+        r.batched_solves,
+    ] {
+        wire::push_u64(out, counter);
+    }
+    wire::push_f64(out, r.testbed_seconds);
+    push_opt(out, r.outcome.as_ref(), |out, o| {
+        wire::push_u8(out, u8::from(o.success));
+        wire::push_u64(out, o.iterations);
+        push_opt(out, o.report.as_ref(), wire::encode_report);
+        wire::push_str(out, &o.netlist_text);
+    });
+}
+
+fn read_wire_report(r: &mut Reader<'_>) -> Result<WireReport, String> {
+    Ok(WireReport {
+        success: r.bool()?,
+        degraded: r.bool()?,
+        attempts: r.u64()?,
+        faults_observed: r.u64()?,
+        events_len: r.u64()?,
+        simulations: r.u64()?,
+        llm_steps: r.u64()?,
+        cache_hits: r.u64()?,
+        coalesced_waits: r.u64()?,
+        batched_solves: r.u64()?,
+        testbed_seconds: r.f64()?,
+        outcome: read_opt(r, |r| {
+            Ok(WireOutcome {
+                success: r.bool()?,
+                iterations: r.u64()?,
+                report: read_opt(r, Reader::report)?,
+                netlist_text: r.str()?,
+            })
+        })?,
+    })
+}
+
+fn push_stats(out: &mut Vec<u8>, s: &WireStats) {
+    for counter in [
+        s.sessions,
+        s.busy_rejects,
+        s.batches,
+        s.jobs,
+        s.unique_computed,
+        s.dedup_shared,
+        s.cache_served,
+    ] {
+        wire::push_u64(out, counter);
+    }
+    push_list(out, &s.occupancy, |out, (occupancy, count)| {
+        wire::push_u64(out, *occupancy);
+        wire::push_u64(out, *count);
+    });
+    for counter in [s.cache_hits, s.cache_misses, s.cache_entries] {
+        wire::push_u64(out, counter);
+    }
+}
+
+fn read_stats(r: &mut Reader<'_>) -> Result<WireStats, String> {
     Ok(WireStats {
-        sessions: need_u64(v, "sessions")?,
-        busy_rejects: need_u64(v, "busy_rejects")?,
-        batches: need_u64(v, "batches")?,
-        jobs: need_u64(v, "jobs")?,
-        unique_computed: need_u64(v, "unique_computed")?,
-        dedup_shared: need_u64(v, "dedup_shared")?,
-        cache_served: need_u64(v, "cache_served")?,
-        occupancy,
-        cache_hits: need_u64(v, "cache_hits")?,
-        cache_misses: need_u64(v, "cache_misses")?,
-        cache_entries: need_u64(v, "cache_entries")?,
+        sessions: r.u64()?,
+        busy_rejects: r.u64()?,
+        batches: r.u64()?,
+        jobs: r.u64()?,
+        unique_computed: r.u64()?,
+        dedup_shared: r.u64()?,
+        cache_served: r.u64()?,
+        occupancy: read_list(r, 16, "occupancy row", |r| Ok((r.u64()?, r.u64()?)))?,
+        cache_hits: r.u64()?,
+        cache_misses: r.u64()?,
+        cache_entries: r.u64()?,
     })
 }
 
 impl Request {
-    /// Serializes to the JSON payload bytes of one frame.
+    /// Serializes to the binary payload bytes of one frame.
     pub fn encode(&self) -> Vec<u8> {
-        let value = match self {
-            Request::Ping => obj(vec![("q", Json::Str("ping".to_string()))]),
-            Request::Design { tenant, seed, spec } => obj(vec![
-                ("q", Json::Str("design".to_string())),
-                ("tenant", Json::Str(tenant.clone())),
-                ("seed", hex_str(*seed)),
-                ("spec", spec_to_json(spec)),
-            ]),
-            Request::Analyze { item } => obj(vec![
-                ("q", Json::Str("analyze".to_string())),
-                ("item", item_to_json(item)),
-            ]),
-            Request::AnalyzeBatch { items } => obj(vec![
-                ("q", Json::Str("analyze_batch".to_string())),
-                ("items", Json::Arr(items.iter().map(item_to_json).collect())),
-            ]),
-            Request::Stats => obj(vec![("q", Json::Str("stats".to_string()))]),
-            Request::Drain => obj(vec![("q", Json::Str("drain".to_string()))]),
-        };
-        value.encode().into_bytes()
+        let mut out = Vec::new();
+        match self {
+            Request::Ping => wire::push_u8(&mut out, 0),
+            Request::Design { tenant, seed, spec } => {
+                wire::push_u8(&mut out, 1);
+                wire::push_str(&mut out, tenant);
+                wire::push_u64(&mut out, *seed);
+                push_spec(&mut out, spec);
+            }
+            Request::Analyze { item } => {
+                wire::push_u8(&mut out, 2);
+                push_item(&mut out, item);
+            }
+            Request::AnalyzeBatch { items } => {
+                wire::push_u8(&mut out, 3);
+                push_list(&mut out, items, push_item);
+            }
+            Request::Stats => wire::push_u8(&mut out, 4),
+            Request::Drain => wire::push_u8(&mut out, 5),
+        }
+        out
     }
 
     /// Parses a frame payload.
@@ -871,69 +700,60 @@ impl Request {
     /// Describes the first structural problem found; never panics on
     /// hostile input.
     pub fn decode(payload: &[u8]) -> Result<Request, String> {
-        let text = std::str::from_utf8(payload).map_err(|_| "payload is not utf8".to_string())?;
-        let v = Json::parse(text)?;
-        match v.get("q").and_then(Json::as_str) {
-            Some("ping") => Ok(Request::Ping),
-            Some("design") => Ok(Request::Design {
-                tenant: v
-                    .get("tenant")
-                    .and_then(Json::as_str)
-                    .ok_or("design missing tenant")?
-                    .to_string(),
-                seed: hex_of(v.get("seed").ok_or("design missing seed")?)?,
-                spec: spec_of_json(v.get("spec").ok_or("design missing spec")?)?,
-            }),
-            Some("analyze") => Ok(Request::Analyze {
-                item: item_of_json(v.get("item").ok_or("analyze missing item")?)?,
-            }),
-            Some("analyze_batch") => Ok(Request::AnalyzeBatch {
-                items: v
-                    .get("items")
-                    .and_then(Json::as_arr)
-                    .ok_or("analyze_batch missing items")?
-                    .iter()
-                    .map(item_of_json)
-                    .collect::<Result<Vec<_>, String>>()?,
-            }),
-            Some("stats") => Ok(Request::Stats),
-            Some("drain") => Ok(Request::Drain),
-            _ => Err("request has unknown kind".to_string()),
-        }
+        let mut r = Reader::new(payload);
+        let request = match r.u8()? {
+            0 => Request::Ping,
+            1 => Request::Design {
+                tenant: r.str()?,
+                seed: r.u64()?,
+                spec: read_spec(&mut r)?,
+            },
+            2 => Request::Analyze {
+                item: read_item(&mut r)?,
+            },
+            3 => Request::AnalyzeBatch {
+                items: read_list(&mut r, ITEM_MIN_BYTES, "work item", read_item)?,
+            },
+            4 => Request::Stats,
+            5 => Request::Drain,
+            other => return Err(format!("unknown request tag {other}")),
+        };
+        finish(&r, request)
     }
 }
 
 impl Response {
-    /// Serializes to the JSON payload bytes of one frame.
+    /// Serializes to the binary payload bytes of one frame.
     pub fn encode(&self) -> Vec<u8> {
-        let value = match self {
-            Response::Pong => obj(vec![("r", Json::Str("pong".to_string()))]),
-            Response::Busy { reason } => obj(vec![
-                ("r", Json::Str("busy".to_string())),
-                ("reason", Json::Str(reason.clone())),
-            ]),
-            Response::Error { message } => obj(vec![
-                ("r", Json::Str("error".to_string())),
-                ("message", Json::Str(message.clone())),
-            ]),
-            Response::Report(report) => wire_report_json(report),
-            Response::Analysis { results } => obj(vec![
-                ("r", Json::Str("analysis".to_string())),
-                (
-                    "results",
-                    Json::Arr(results.iter().map(result_to_json).collect()),
-                ),
-            ]),
-            Response::Stats(stats) => obj(vec![
-                ("r", Json::Str("stats".to_string())),
-                ("stats", stats_to_json(stats)),
-            ]),
-            Response::Draining(stats) => obj(vec![
-                ("r", Json::Str("draining".to_string())),
-                ("stats", stats_to_json(stats)),
-            ]),
-        };
-        value.encode().into_bytes()
+        let mut out = Vec::new();
+        match self {
+            Response::Pong => wire::push_u8(&mut out, 0),
+            Response::Busy { reason } => {
+                wire::push_u8(&mut out, 1);
+                wire::push_str(&mut out, reason);
+            }
+            Response::Error { message } => {
+                wire::push_u8(&mut out, 2);
+                wire::push_str(&mut out, message);
+            }
+            Response::Report(report) => {
+                wire::push_u8(&mut out, 3);
+                push_wire_report(&mut out, report);
+            }
+            Response::Analysis { results } => {
+                wire::push_u8(&mut out, 4);
+                push_list(&mut out, results, push_result);
+            }
+            Response::Stats(stats) => {
+                wire::push_u8(&mut out, 5);
+                push_stats(&mut out, stats);
+            }
+            Response::Draining(stats) => {
+                wire::push_u8(&mut out, 6);
+                push_stats(&mut out, stats);
+            }
+        }
+        out
     }
 
     /// Parses a frame payload.
@@ -943,40 +763,19 @@ impl Response {
     /// Describes the first structural problem found; never panics on
     /// hostile input.
     pub fn decode(payload: &[u8]) -> Result<Response, String> {
-        let text = std::str::from_utf8(payload).map_err(|_| "payload is not utf8".to_string())?;
-        let v = Json::parse(text)?;
-        match v.get("r").and_then(Json::as_str) {
-            Some("pong") => Ok(Response::Pong),
-            Some("busy") => Ok(Response::Busy {
-                reason: v
-                    .get("reason")
-                    .and_then(Json::as_str)
-                    .ok_or("busy missing reason")?
-                    .to_string(),
-            }),
-            Some("error") => Ok(Response::Error {
-                message: v
-                    .get("message")
-                    .and_then(Json::as_str)
-                    .ok_or("error missing message")?
-                    .to_string(),
-            }),
-            Some("report") => wire_report_of_json(&v).map(|r| Response::Report(Box::new(r))),
-            Some("analysis") => Ok(Response::Analysis {
-                results: v
-                    .get("results")
-                    .and_then(Json::as_arr)
-                    .ok_or("analysis missing results")?
-                    .iter()
-                    .map(result_of_json)
-                    .collect::<Result<Vec<_>, String>>()?,
-            }),
-            Some("stats") => {
-                stats_of_json(v.get("stats").ok_or("stats missing stats")?).map(Response::Stats)
-            }
-            Some("draining") => stats_of_json(v.get("stats").ok_or("draining missing stats")?)
-                .map(Response::Draining),
-            _ => Err("response has unknown kind".to_string()),
-        }
+        let mut r = Reader::new(payload);
+        let response = match r.u8()? {
+            0 => Response::Pong,
+            1 => Response::Busy { reason: r.str()? },
+            2 => Response::Error { message: r.str()? },
+            3 => Response::Report(Box::new(read_wire_report(&mut r)?)),
+            4 => Response::Analysis {
+                results: read_list(&mut r, RESULT_MIN_BYTES, "result", read_result)?,
+            },
+            5 => Response::Stats(read_stats(&mut r)?),
+            6 => Response::Draining(read_stats(&mut r)?),
+            other => return Err(format!("unknown response tag {other}")),
+        };
+        finish(&r, response)
     }
 }

@@ -11,7 +11,18 @@
 //! 3. **Hostile input** — corrupt magic/version/length/checksum and
 //!    arbitrary payload bytes are rejected with errors, never panics,
 //!    and a hostile length prefix cannot drive a large allocation
-//!    (the reader streams through a bounded chunk).
+//!    (the reader streams through a bounded chunk). The binary payload
+//!    decoders are reachable from any bytes that pass the checksum, so
+//!    they are attacked directly too: every strict prefix and every
+//!    trailing-byte extension of every variant is an error, every
+//!    single-bit flip of every variant decodes without panicking,
+//!    malformed tags, indices and node names are errors, and a
+//!    `u32::MAX` count or length on a short payload errors without a
+//!    large allocation (measured by a per-thread tracking allocator).
+//!
+//! Case count follows `PROPTEST_CASES` (default 64); the CI `chaos`
+//! job raises it and sweeps `CHAOS_SEED_OFFSET`, which shifts every
+//! sampled seed by a per-leg window.
 
 use artisan_circuit::sample::{sample_topology, SampleRanges};
 use artisan_circuit::Topology;
@@ -20,12 +31,80 @@ use artisan_serve::proto::{
     read_frame, write_frame, Request, Response, WireOutcome, WireReport, WireStats, WorkItem,
     FORMAT_VERSION, MAX_FRAME_BYTES, REMOTE_BUSY_MSG, TRANSPORT_FAILURE_MSG,
 };
-use artisan_sim::{AnalysisReport, SimError, Simulator, Spec};
+use artisan_sim::{wire, AnalysisReport, SimError, Simulator, Spec};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, RngCore, SeedableRng};
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::io::Read;
 use std::sync::OnceLock;
+
+/// Forwards to the system allocator, recording the largest single
+/// request this thread has made since [`largest_allocation_during`]
+/// last reset it.
+struct TrackingAlloc;
+
+thread_local! {
+    static LARGEST: Cell<usize> = const { Cell::new(0) };
+}
+
+fn note_allocation(size: usize) {
+    // `try_with`: allocations during thread teardown are not tracked.
+    let _ = LARGEST.try_with(|largest| largest.set(largest.get().max(size)));
+}
+
+// SAFETY: every method forwards its arguments unchanged to `System`,
+// which upholds the `GlobalAlloc` contract; the bookkeeping beside it
+// touches only a const-initialised thread-local `Cell`, which never
+// allocates.
+unsafe impl GlobalAlloc for TrackingAlloc {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        note_allocation(layout.size());
+        // SAFETY: the caller's `alloc` contract, passed through.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` came from `System` through this allocator with
+        // this `layout`, as the caller guarantees.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        note_allocation(new_size);
+        // SAFETY: the caller's `realloc` contract, passed through.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+}
+
+#[global_allocator]
+static ALLOCATOR: TrackingAlloc = TrackingAlloc;
+
+/// Runs `f` and returns its result with the largest single allocation
+/// it made on this thread.
+fn largest_allocation_during<T>(f: impl FnOnce() -> T) -> (T, usize) {
+    LARGEST.with(|largest| largest.set(0));
+    let out = f();
+    (out, LARGEST.with(Cell::get))
+}
+
+/// Shifts a sampled seed by the `CHAOS_SEED_OFFSET` window (0 unset).
+fn offset(seed: u64) -> u64 {
+    let leg: u64 = std::env::var("CHAOS_SEED_OFFSET")
+        .ok()
+        .and_then(|v| v.parse().ok())
+        .unwrap_or(0);
+    seed.wrapping_add(leg.wrapping_mul(1_000_000_007))
+}
+
+/// Proptest case count: `PROPTEST_CASES` when set, else 64.
+fn cases() -> u32 {
+    std::env::var("PROPTEST_CASES")
+        .ok()
+        .and_then(|v| v.parse().ok())
+        .unwrap_or(64)
+}
 
 /// A real analysis report to embed in responses.
 fn sample_report() -> &'static AnalysisReport {
@@ -117,6 +196,28 @@ fn every_request(rng: &mut StdRng) -> Vec<Request> {
     ]
 }
 
+fn sample_wire_report() -> WireReport {
+    WireReport {
+        success: true,
+        degraded: false,
+        attempts: 2,
+        faults_observed: 1,
+        events_len: 9,
+        simulations: 17,
+        llm_steps: 80,
+        cache_hits: 0,
+        coalesced_waits: 0,
+        batched_solves: 0,
+        testbed_seconds: 1234.5678,
+        outcome: Some(WireOutcome {
+            success: true,
+            iterations: 3,
+            report: Some(sample_report().clone()),
+            netlist_text: "* final\nR1 in out 1e3\nCL out 0 1e-11\n".to_string(),
+        }),
+    }
+}
+
 fn every_response() -> Vec<Response> {
     let report = sample_report().clone();
     let stats = WireStats {
@@ -132,25 +233,7 @@ fn every_response() -> Vec<Response> {
         cache_misses: 17,
         cache_entries: 82,
     };
-    let wire_report = WireReport {
-        success: true,
-        degraded: false,
-        attempts: 2,
-        faults_observed: 1,
-        events_len: 9,
-        simulations: 17,
-        llm_steps: 80,
-        cache_hits: 0,
-        coalesced_waits: 0,
-        batched_solves: 0,
-        testbed_seconds: 1234.5678,
-        outcome: Some(WireOutcome {
-            success: true,
-            iterations: 3,
-            report: Some(report.clone()),
-            netlist_text: "* final\nR1 in out 1e3\nCL out 0 1e-11\n".to_string(),
-        }),
-    };
+    let wire_report = sample_wire_report();
     let mut results: Vec<Result<AnalysisReport, SimError>> = vec![Ok(report)];
     results.extend(every_sim_error().into_iter().map(Err));
     vec![
@@ -261,7 +344,7 @@ fn corrupt_magic_version_length_checksum_rejected() {
 
     // Flip one payload byte: the checksum catches it.
     let mut flipped_payload = good.clone();
-    flipped_payload[17] ^= 0x01;
+    flipped_payload[16] ^= 0x01;
     assert!(read_frame(&mut flipped_payload.as_slice()).is_err());
 
     // Flip one checksum byte.
@@ -282,13 +365,217 @@ fn corrupt_magic_version_length_checksum_rejected() {
     assert!(read_frame(&mut good.as_slice()).is_ok());
 }
 
+#[test]
+fn version_1_frames_are_rejected_with_the_version_error() {
+    assert_eq!(FORMAT_VERSION, 2);
+    let mut old = frame_bytes(&Request::Ping.encode());
+    old[8..12].copy_from_slice(&1u32.to_le_bytes());
+    let err = rejected(read_frame(&mut old.as_slice()));
+    assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+    assert!(err.to_string().contains("frame version 1"), "{err}");
+}
+
+/// The error of a result that must be one.
+fn rejected<T: std::fmt::Debug, E>(result: Result<T, E>) -> E {
+    match result {
+        Ok(value) => panic!("accepted: {value:?}"),
+        Err(e) => e,
+    }
+}
+
+/// Every variant's encoded payload, requests then responses.
+fn every_payload() -> Vec<Vec<u8>> {
+    let mut rng = StdRng::seed_from_u64(13);
+    let mut payloads: Vec<Vec<u8>> = every_request(&mut rng)
+        .iter()
+        .map(Request::encode)
+        .collect();
+    payloads.extend(every_response().iter().map(Response::encode));
+    payloads
+}
+
+fn decode_either(payload: &[u8]) -> (Result<Request, String>, Result<Response, String>) {
+    (Request::decode(payload), Response::decode(payload))
+}
+
+#[test]
+fn strict_prefixes_and_trailing_bytes_are_rejected() {
+    let mut rng = StdRng::seed_from_u64(17);
+    for request in every_request(&mut rng) {
+        let payload = request.encode();
+        for cut in 0..payload.len() {
+            assert!(
+                Request::decode(&payload[..cut]).is_err(),
+                "{request:?} prefix of {cut}/{} bytes accepted",
+                payload.len()
+            );
+        }
+        let mut long = payload.clone();
+        long.push(0);
+        let err = rejected(Request::decode(&long));
+        assert!(err.contains("trailing"), "{request:?}: {err}");
+    }
+    for response in every_response() {
+        let payload = response.encode();
+        for cut in 0..payload.len() {
+            assert!(
+                Response::decode(&payload[..cut]).is_err(),
+                "{response:?} prefix of {cut}/{} bytes accepted",
+                payload.len()
+            );
+        }
+        let mut long = payload.clone();
+        long.push(0);
+        let err = rejected(Response::decode(&long));
+        assert!(err.contains("trailing"), "{response:?}: {err}");
+    }
+}
+
+/// Every single-bit flip of every variant's payload, fed straight to
+/// both decoders (no frame checksum in the way): errors allowed,
+/// panics not.
+#[test]
+fn every_single_bit_flip_of_every_variant_never_panics() {
+    for payload in every_payload() {
+        for at in 0..payload.len() {
+            for bit in 0..8 {
+                let mut flipped = payload.clone();
+                flipped[at] ^= 1 << bit;
+                let _ = decode_either(&flipped);
+            }
+        }
+    }
+}
+
+#[test]
+fn malformed_tags_indices_and_node_names_are_rejected() {
+    for tag in [6u8, 7, 0x80, 0xff] {
+        assert!(Request::decode(&[tag]).is_err(), "request tag {tag}");
+    }
+    for tag in [7u8, 0x80, 0xff] {
+        assert!(Response::decode(&[tag]).is_err(), "response tag {tag}");
+    }
+    // Tag 2 = Analyze, then the work item; item tag 0 = topology.
+    let topo_request = Request::Analyze {
+        item: WorkItem::Topo(Topology::nmc_example()),
+    }
+    .encode();
+    let mut bad_item = topo_request.clone();
+    bad_item[1] = 2;
+    assert!(Request::decode(&bad_item).is_err());
+    // Nine stage f64s, rl, cl, then the placement count: the first
+    // placement's position and connection index bytes follow it.
+    let first_placement = 2 + 11 * 8 + 4;
+    let mut bad_position = topo_request.clone();
+    bad_position[first_placement] = 7;
+    let err = rejected(Request::decode(&bad_position));
+    assert!(err.contains("position"), "{err}");
+    let mut bad_connection = topo_request.clone();
+    bad_connection[first_placement + 1] = 25;
+    let err = rejected(Request::decode(&bad_connection));
+    assert!(err.contains("connection"), "{err}");
+
+    // A one-resistor netlist: tag 2, item tag 1, title, element count,
+    // element tag 0, label, node names, value.
+    let netlist = |kind: u8, node: &str| {
+        let mut out = vec![2u8, 1];
+        wire::push_str(&mut out, "t");
+        wire::push_u32(&mut out, 1);
+        wire::push_u8(&mut out, kind);
+        wire::push_str(&mut out, "R1");
+        wire::push_str(&mut out, "in");
+        wire::push_str(&mut out, node);
+        wire::push_f64(&mut out, 1e3);
+        out
+    };
+    assert!(Request::decode(&netlist(0, "out")).is_ok());
+    let err = rejected(Request::decode(&netlist(0, "n9")));
+    assert!(err.contains("unknown node name"), "{err}");
+    assert!(Request::decode(&netlist(3, "out")).is_err());
+
+    // Result tag 2 and SimError tag 6 do not exist.
+    let mut bad_result = vec![4u8];
+    bad_result.extend_from_slice(&1u32.to_le_bytes());
+    bad_result.extend_from_slice(&[2, 1]);
+    assert!(Response::decode(&bad_result).is_err());
+    let last = bad_result.len() - 2;
+    bad_result[last] = 1;
+    bad_result[last + 1] = 6;
+    assert!(Response::decode(&bad_result).is_err());
+    // A boolean byte other than 0/1.
+    let mut bad_bool = Response::Report(Box::new(WireReport {
+        outcome: None,
+        ..sample_wire_report()
+    }))
+    .encode();
+    bad_bool[1] = 2;
+    assert!(Response::decode(&bad_bool).is_err());
+}
+
+/// A `u32::MAX` count or length at every place one is read, on a
+/// payload of a few bytes: an error, with no allocation anywhere near
+/// the claimed size.
+#[test]
+fn hostile_counts_error_without_large_allocations() {
+    // The tracker itself must see a large allocation.
+    let (_, largest) = largest_allocation_during(|| vec![0u8; 1 << 20]);
+    assert!(largest >= 1 << 20, "tracking allocator saw {largest} bytes");
+    let max = u32::MAX.to_le_bytes();
+    let filler = [0u8; 32];
+    let with = |prefix: &[u8]| -> Vec<u8> {
+        let mut out = prefix.to_vec();
+        out.extend_from_slice(&max);
+        out.extend_from_slice(&filler);
+        out
+    };
+    let requests = [
+        // AnalyzeBatch item count.
+        with(&[3]),
+        // Design tenant string length.
+        with(&[1]),
+        // Analyze netlist title length.
+        with(&[2, 1]),
+        // Analyze netlist element count.
+        with(&[2, 1, 0, 0, 0, 0]),
+        // Analyze netlist element label length.
+        with(&[2, 1, 0, 0, 0, 0, 1, 0, 0, 0, 0]),
+    ];
+    for payload in &requests {
+        let (decoded, largest) = largest_allocation_during(|| Request::decode(payload));
+        // Refused up front by the count check, not by running out of
+        // bytes partway through the claimed entries.
+        let err = rejected(decoded);
+        assert!(err.contains("exceeds payload"), "{payload:?}: {err}");
+        assert!(largest < 4096, "{payload:?} allocated {largest} bytes");
+    }
+    let responses = [
+        // Analysis result count.
+        with(&[4]),
+        // Busy reason and Error message lengths.
+        with(&[1]),
+        with(&[2]),
+        // BadNetlist message length inside one Analysis result.
+        with(&[4, 1, 0, 0, 0, 1, 5]),
+        // Stats occupancy row count (after seven counters).
+        with(&[[5u8].as_slice(), &[0u8; 56]].concat()),
+    ];
+    for payload in &responses {
+        let (decoded, largest) = largest_allocation_during(|| Response::decode(payload));
+        // Refused up front by the count check, not by running out of
+        // bytes partway through the claimed entries.
+        let err = rejected(decoded);
+        assert!(err.contains("exceeds payload"), "{payload:?}: {err}");
+        assert!(largest < 4096, "{payload:?} allocated {largest} bytes");
+    }
+}
+
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
+    #![proptest_config(ProptestConfig::with_cases(cases()))]
 
     /// Arbitrary bytes into the decoders: errors allowed, panics not.
     #[test]
     fn hostile_payload_bytes_never_panic(seed in 0u64..10_000) {
-        let mut rng = StdRng::seed_from_u64(seed);
+        let mut rng = StdRng::seed_from_u64(offset(seed));
         let len = rng.gen_range(0..512);
         let payload: Vec<u8> = (0..len).map(|_| rng.gen_range(0u32..256) as u8).collect();
         let _ = Request::decode(&payload);
@@ -304,7 +591,7 @@ proptest! {
     /// decode without panicking.
     #[test]
     fn mutated_frames_never_panic(seed in 0u64..10_000) {
-        let mut rng = StdRng::seed_from_u64(seed ^ 0xD1CE);
+        let mut rng = StdRng::seed_from_u64(offset(seed) ^ 0xD1CE);
         let request = Request::Design {
             tenant: format!("t{seed}"),
             seed,
@@ -320,6 +607,20 @@ proptest! {
             // Survivable only if the flips cancelled out; decode must
             // still not panic.
             let _ = Request::decode(&payload);
+        }
+    }
+
+    /// Several random byte rewrites of every variant's payload, fed
+    /// straight to both decoders: errors allowed, panics not.
+    #[test]
+    fn mutated_payloads_never_panic(seed in 0u64..10_000) {
+        let mut rng = StdRng::seed_from_u64(offset(seed) ^ 0xB17F);
+        for mut payload in every_payload() {
+            for _ in 0..rng.gen_range(1..6) {
+                let at = rng.gen_range(0..payload.len());
+                payload[at] = rng.gen_range(0u32..256) as u8;
+            }
+            let _ = decode_either(&payload);
         }
     }
 }

@@ -1,7 +1,7 @@
 //! Reusable little-endian binary framing helpers shared by every
-//! on-disk artifact in the workspace: the [`crate::SimCache`] snapshot
-//! (`cache::persist`) and the session write-ahead journal in
-//! `artisan-resilience`.
+//! binary format in the workspace: the [`crate::SimCache`] snapshot
+//! (`cache::persist`), the session write-ahead journal in
+//! `artisan-resilience`, and the `artisan-serve` wire protocol.
 //!
 //! The discipline is the same everywhere:
 //!
@@ -15,13 +15,18 @@
 //!   trust boundaries).
 //!
 //! [`encode_report`]/[`Reader::report`] carry a full
-//! [`AnalysisReport`] in the shared format, so the cache snapshot and
-//! the journal serialize simulation results byte-identically.
+//! [`AnalysisReport`] in the shared format, so the cache snapshot, the
+//! journal and the server serialize simulation results byte-identically;
+//! [`encode_topology`]/[`Reader::topology`] do the same for candidate
+//! topologies in the journal and the server.
 
 use crate::metrics::Performance;
 use crate::poles::PoleZero;
 use crate::simulator::AnalysisReport;
-use artisan_circuit::units::{Decibels, Degrees, Hertz, Watts};
+use artisan_circuit::units::{Decibels, Degrees, Farads, Hertz, Ohms, Siemens, Watts};
+use artisan_circuit::{
+    ConnectionParams, ConnectionType, Placement, Position, Skeleton, StageParams, Topology,
+};
 use artisan_math::Complex64;
 
 /// FNV-1a 64-bit over `bytes` — cheap, dependency-free corruption
@@ -85,6 +90,53 @@ pub fn encode_report(out: &mut Vec<u8>, report: &AnalysisReport) {
     push_u8(out, u8::from(report.stable));
     push_complex_list(out, &report.pole_zero.poles);
     push_complex_list(out, &report.pole_zero.zeros);
+}
+
+fn push_stage(out: &mut Vec<u8>, stage: &StageParams) {
+    push_f64(out, stage.gm.value());
+    push_f64(out, stage.ro.value());
+    push_f64(out, stage.cp.value());
+}
+
+fn push_opt_f64(out: &mut Vec<u8>, value: Option<f64>) {
+    match value {
+        Some(v) => {
+            push_u8(out, 1);
+            push_f64(out, v);
+        }
+        None => push_u8(out, 0),
+    }
+}
+
+/// Appends a [`Topology`]: the three stages' `(gm, ro, cp)` bit
+/// patterns, `rl`, `cl`, then a `u32` placement count and, per
+/// placement, its [`Position::ALL`] index byte, its
+/// [`ConnectionType::ALL`] index byte and the optional `r`, `c`, `gm`
+/// values (a presence byte, then the bits).
+pub fn encode_topology(out: &mut Vec<u8>, topo: &Topology) {
+    push_stage(out, &topo.skeleton.stage1);
+    push_stage(out, &topo.skeleton.stage2);
+    push_stage(out, &topo.skeleton.stage3);
+    push_f64(out, topo.skeleton.rl.value());
+    push_f64(out, topo.skeleton.cl.value());
+    push_u32(out, topo.placements().len() as u32);
+    for placement in topo.placements() {
+        // Indices into the canonical ALL orders — stable across
+        // processes by construction.
+        let position = Position::ALL
+            .iter()
+            .position(|p| *p == placement.position)
+            .unwrap_or(0) as u8;
+        let connection = ConnectionType::ALL
+            .iter()
+            .position(|c| *c == placement.connection)
+            .unwrap_or(0) as u8;
+        push_u8(out, position);
+        push_u8(out, connection);
+        push_opt_f64(out, placement.params.r.map(|v| v.value()));
+        push_opt_f64(out, placement.params.c.map(|v| v.value()));
+        push_opt_f64(out, placement.params.gm.map(|v| v.value()));
+    }
 }
 
 /// Bounded little-endian reader over a framed payload. Every read is
@@ -248,6 +300,63 @@ impl<'a> Reader<'a> {
             worst_case: None,
         })
     }
+
+    fn stage(&mut self) -> Result<StageParams, String> {
+        Ok(StageParams {
+            gm: Siemens(self.f64()?),
+            ro: Ohms(self.f64()?),
+            cp: Farads(self.f64()?),
+        })
+    }
+
+    fn opt_f64(&mut self) -> Result<Option<f64>, String> {
+        Ok(match self.bool()? {
+            true => Some(self.f64()?),
+            false => None,
+        })
+    }
+
+    /// Reads an [`encode_topology`]-framed [`Topology`].
+    ///
+    /// # Errors
+    ///
+    /// A diagnostic on truncation, more placements than positions, an
+    /// out-of-range position or connection index, or a placement the
+    /// topology refuses.
+    pub fn topology(&mut self) -> Result<Topology, String> {
+        let stage1 = self.stage()?;
+        let stage2 = self.stage()?;
+        let stage3 = self.stage()?;
+        let rl = self.f64()?;
+        let cl = self.f64()?;
+        let mut topo = Topology::new(Skeleton {
+            stage1,
+            stage2,
+            stage3,
+            rl: Ohms(rl),
+            cl: Farads(cl),
+        });
+        let count = self.u32()? as usize;
+        if count > Position::ALL.len() {
+            return Err(format!("placement count {count} exceeds the 7 positions"));
+        }
+        for _ in 0..count {
+            let position = *Position::ALL
+                .get(self.u8()? as usize)
+                .ok_or("invalid position index")?;
+            let connection = *ConnectionType::ALL
+                .get(self.u8()? as usize)
+                .ok_or("invalid connection index")?;
+            let params = ConnectionParams {
+                r: self.opt_f64()?.map(Ohms),
+                c: self.opt_f64()?.map(Farads),
+                gm: self.opt_f64()?.map(Siemens),
+            };
+            topo.place(Placement::new(position, connection, params))
+                .map_err(|e| format!("illegal placement: {e}"))?;
+        }
+        Ok(topo)
+    }
 }
 
 #[cfg(test)]
@@ -296,6 +405,37 @@ mod tests {
         let decoded = r.report().unwrap_or_else(|e| panic!("{e}"));
         assert_eq!(decoded, report);
         assert_eq!(r.remaining(), 0);
+    }
+
+    #[test]
+    fn topology_round_trip_is_exact_and_truncation_errors() {
+        let topo = Topology::nmc_example();
+        let mut out = Vec::new();
+        encode_topology(&mut out, &topo);
+        let mut r = Reader::new(&out);
+        assert_eq!(r.topology().unwrap_or_else(|e| panic!("{e}")), topo);
+        assert_eq!(r.remaining(), 0);
+        for cut in 0..out.len() {
+            assert!(Reader::new(&out[..cut]).topology().is_err(), "cut {cut}");
+        }
+    }
+
+    #[test]
+    fn topology_rejects_bad_indices_and_counts() {
+        let mut out = Vec::new();
+        encode_topology(&mut out, &Topology::nmc_example());
+        // Stages (9 f64s) + rl + cl, then the placement count.
+        let count_at = 11 * 8;
+        let first_placement = count_at + 4;
+        let mut bad = out.clone();
+        bad[count_at..first_placement].copy_from_slice(&8u32.to_le_bytes());
+        assert!(Reader::new(&bad).topology().is_err());
+        let mut bad = out.clone();
+        bad[first_placement] = Position::ALL.len() as u8;
+        assert!(Reader::new(&bad).topology().is_err());
+        let mut bad = out.clone();
+        bad[first_placement + 1] = ConnectionType::ALL.len() as u8;
+        assert!(Reader::new(&bad).topology().is_err());
     }
 
     #[test]
